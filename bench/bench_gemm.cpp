@@ -374,6 +374,40 @@ int main(int argc, char** argv) {
                       << " shapes (target >= 2)\n";
         }
 
+        // ---- small-m series: the crossbar's scalar reads -------------------
+        //
+        // gemm_rowstable at m = 1..8 rows against the 784×10 differential
+        // conductances, per arm — one row is one attacker query. Rows at or
+        // below the GEMV cutoff take the GEMV kernels, the rest the packed
+        // tiles, so the per-row cost across m locates the crossover.
+        Table stable({"Rows", "Portable ns/row", "AVX2 ns/row", "AVX-512 ns/row"});
+        for (std::size_t m = 1; m <= 8; ++m) {
+            const std::size_t k = 784, n = 10;
+            Rng rng(m);
+            const Matrix A = Matrix::random_uniform(rng, m, k);
+            const Matrix B = Matrix::random_normal(rng, k, n);
+            Matrix C(m, n, 0.0);
+            rec.begin("small-m rowstable (" + std::to_string(m) + "x784)*(784x10)");
+            rec.add("m", static_cast<long long>(m));
+            rec.add("k", static_cast<long long>(k));
+            rec.add("n", static_cast<long long>(n));
+            stable.begin_row();
+            stable.add(static_cast<double>(m), 0);
+            for (const KernelVariant v : variants) {
+                tensor::set_kernel_variant(v);
+                const double gf = gflops(
+                    [&] { tensor::gemm_rowstable(1.0, A, Op::None, B, Op::None, 0.0, C); }, m,
+                    k, n, reps);
+                const double ns_per_row = 2.0 * static_cast<double>(k * n) / gf;
+                rec.add(std::string("ns_per_row_") + tensor::to_string(v), ns_per_row);
+                stable.add(ns_per_row, 0);
+            }
+            tensor::set_kernel_variant(entry_variant);
+            if (!tensor::kernel_variant_available(KernelVariant::Avx2)) stable.add("-");
+            if (!has_avx512) stable.add("-");
+        }
+        std::cout << "\n## Small-m rowstable GEMM, (m x784)*(784x10)\n\n" << stable;
+
         // ---- trainer hot loop: seed (fresh allocations, pre-PR kernel) vs
         //      the arena-backed path under the current dispatcher ------------
         //

@@ -105,7 +105,9 @@ int main(int argc, char** argv) {
                 volatile double sink = xbar.mvm_batch(U)(0, 0);
                 (void)sink;
             });
-            h.run("crossbar_total_current" + suffix, 10 * cols, [&] {
+            // Items are MACs: 10·cols for an output read, cols for the
+            // supply-current dot (one cols-long row).
+            h.run("crossbar_total_current" + suffix, cols, [&] {
                 volatile double sink = xbar.total_current(u);
                 (void)sink;
             });

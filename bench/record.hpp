@@ -7,7 +7,7 @@
 //
 //   {
 //     "bench": "<name>",
-//     "setup": "<one-line machine/config context>",
+//     "setup": "<one-line config context>; host: <host_provenance()>",
 //     "results": [ {"label": "...", "<key>": <value>, ...}, ... ]
 //   }
 //
@@ -17,17 +17,55 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "xbarsec/common/contracts.hpp"
+#include "xbarsec/tensor/gemm.hpp"
+
+#ifndef XBARSEC_BUILD_TYPE
+#define XBARSEC_BUILD_TYPE "unknown"
+#endif
 
 namespace xbarsec::bench {
 
+/// The host and build a measurement came from: core count, the ISA
+/// extensions the GEMM arms dispatch on, the forced kernel variant
+/// (XBARSEC_FORCE_KERNEL / set_kernel_variant, "auto" when unforced),
+/// the CMake build type and the compiler.
+inline std::string host_provenance() {
+    std::string isa;
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    for (const auto& [flag, present] :
+         {std::pair{"avx2", __builtin_cpu_supports("avx2")},
+          {"fma", __builtin_cpu_supports("fma")}, {"avx512f", __builtin_cpu_supports("avx512f")}}) {
+        if (present == 0) continue;
+        if (!isa.empty()) isa += ',';
+        isa += flag;
+    }
+#endif
+    if (isa.empty()) isa = "baseline";
+    std::ostringstream os;
+    os << "cores=" << std::thread::hardware_concurrency() << " isa=" << isa
+       << " kernel=" << tensor::to_string(tensor::forced_kernel_variant())
+       << " build=" << XBARSEC_BUILD_TYPE << " compiler=";
+#if defined(__clang__)
+    os << "clang " << __clang_version__;
+#elif defined(__GNUC__)
+    os << "gcc " << __VERSION__;
+#else
+    os << "unknown";
+#endif
+    return os.str();
+}
+
 class BenchRecorder {
 public:
-    BenchRecorder(std::string name, std::string setup)
-        : name_(std::move(name)), setup_(std::move(setup)) {}
+    /// `setup` describes the configuration; host provenance is appended.
+    BenchRecorder(std::string name, const std::string& setup)
+        : name_(std::move(name)), setup_(setup + "; host: " + host_provenance()) {}
 
     /// Starts a result row. Subsequent add() calls attach fields to it.
     void begin(const std::string& label) {
@@ -36,7 +74,10 @@ public:
     }
 
     void add(const std::string& key, const std::string& value) {
-        field(key, "\"" + escaped(value) + "\"");
+        std::string quoted(1, '"');
+        quoted += escaped(value);
+        quoted += '"';
+        field(key, std::move(quoted));
     }
     void add(const std::string& key, const char* value) { add(key, std::string(value)); }
     void add(const std::string& key, double value) {

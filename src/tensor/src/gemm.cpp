@@ -33,6 +33,14 @@ constexpr std::size_t kRowsPerPanel = 64;
 /// Smallest 2·m·n·k worth sharding (task dispatch costs microseconds).
 constexpr double kMinParallelFlops = 4.0e6;
 
+/// Largest row count routed to the GEMV kernels instead of the packed
+/// tiles (both operands untransposed). The crossover, measured per arm
+/// with bench_gemm's small-m series against a tiles-only build: at the
+/// crossbar's (m×784)·(784×10) the GEMV wins at every m = 1..8 on every
+/// arm (2–9× at m = 1, 1.3–3× at m = 8); at the widest output measured
+/// (n = 784) the AVX-512 tiles draw level at m = 8 and lead from m = 12.
+constexpr std::size_t kGemvMaxRows = 8;
+
 // ---- micro-kernels ----------------------------------------------------------
 //
 // C[mr×nr] += Ap·Bp over a kc-deep packed panel pair. Ap is p-major with
@@ -69,6 +77,71 @@ void tile_portable_4x4(const double* __restrict ap, const double* __restrict bp,
 
 using TileFn = void (*)(const double* __restrict, const double* __restrict, std::size_t,
                         std::size_t, double* __restrict, std::size_t, std::size_t, std::size_t);
+
+// ---- small-m GEMV kernels ---------------------------------------------------
+//
+// C[M×n] += A[M×kc]·B[kc×n] for M ≤ 4 live rows of an untransposed,
+// already alpha-scaled A against an untransposed B read in place (row
+// stride ldb); ragged column tails are masked instead of packed. Every B
+// load is shared by the M rows. Per C element the arithmetic is exactly a
+// tile's: a fresh accumulator per k-block, p ascending, acc ⊕= a[p]·b[p]
+// (fused on the FMA arms, the portable tile's unfused expression on the
+// portable arm), then one add into C — so a GEMV row is bit-identical to
+// the same row computed inside any register tile of its arm.
+
+using GemvFn = void (*)(const double* __restrict, std::size_t, const double* __restrict,
+                        std::size_t, std::size_t, std::size_t, double* __restrict, std::size_t);
+
+/// Rows one GEMV call carries.
+constexpr std::size_t kGemvRows = 4;
+
+/// One W-column strip of the portable GEMV (W = 4 for full strips, the
+/// remainder for the ragged tail) over p-major, M-interleaved rows — the
+/// tile body with B read in place.
+template <std::size_t M, std::size_t W>
+void gemv_portable_strip(const double* __restrict ap, const double* __restrict b, std::size_t ldb,
+                         std::size_t kc, double* __restrict c, std::size_t ldc) {
+    double acc[M * W] = {};
+    for (std::size_t p = 0; p < kc; ++p) {
+        const double* __restrict a = ap + p * M;
+        const double* __restrict brow = b + p * ldb;
+        for (std::size_t r = 0; r < M; ++r) {
+            const double ar = a[r];
+            for (std::size_t j = 0; j < W; ++j) acc[r * W + j] += ar * brow[j];
+        }
+    }
+    for (std::size_t r = 0; r < M; ++r) {
+        double* __restrict crow = c + r * ldc;
+        for (std::size_t j = 0; j < W; ++j) crow[j] += acc[r * W + j];
+    }
+}
+
+template <std::size_t M>
+void gemv_portable(const double* __restrict a, std::size_t lda, const double* __restrict b,
+                   std::size_t ldb, std::size_t n, std::size_t kc, double* __restrict c,
+                   std::size_t ldc) {
+    // Interleave the rows p-major as pack_a does: with the rows side by
+    // side GCC vectorises the strip body across columns, as it does the
+    // 4×4 tile, instead of across p with spilled accumulators.
+    double ap[M * kBlockK];
+    for (std::size_t r = 0; r < M; ++r)
+        for (std::size_t p = 0; p < kc; ++p) ap[p * M + r] = a[r * lda + p];
+    std::size_t j0 = 0;
+    for (; j0 + 4 <= n; j0 += 4) gemv_portable_strip<M, 4>(ap, b + j0, ldb, kc, c + j0, ldc);
+    switch (n - j0) {
+        case 3:
+            return gemv_portable_strip<M, 3>(ap, b + j0, ldb, kc, c + j0, ldc);
+        case 2:
+            return gemv_portable_strip<M, 2>(ap, b + j0, ldb, kc, c + j0, ldc);
+        case 1:
+            return gemv_portable_strip<M, 1>(ap, b + j0, ldb, kc, c + j0, ldc);
+        default:
+            return;
+    }
+}
+
+constexpr GemvFn kGemvPortable[kGemvRows] = {gemv_portable<1>, gemv_portable<2>,
+                                             gemv_portable<3>, gemv_portable<4>};
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define XS_GEMM_HAVE_AVX2_VARIANT 1
@@ -213,6 +286,102 @@ __attribute__((target("avx512f"))) void tile_avx512_12x8(const double* __restric
     }
 }
 
+// The AVX2 GEMV covers 12 columns (three 4-lane strips) per pass: at
+// M = 4 that is 12 accumulators plus three B strips and one broadcast,
+// exactly the 16 ymm registers, and it spans the paper's 10-class heads
+// in one pass. Lanes past n are masked off on load and store.
+
+/// Mask of the lanes j0 + 0..3 that lie below n (all-ones per live lane).
+__attribute__((target("avx2,fma"))) inline __m256i avx2_live_lanes(std::size_t n, std::size_t j0) {
+    const long long live = static_cast<long long>(n) - static_cast<long long>(j0);
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+template <std::size_t M>
+__attribute__((target("avx2,fma"))) void gemv_avx2(const double* __restrict a, std::size_t lda,
+                                                   const double* __restrict b, std::size_t ldb,
+                                                   std::size_t n, std::size_t kc,
+                                                   double* __restrict c, std::size_t ldc) {
+    constexpr std::size_t S = 3;
+    for (std::size_t j0 = 0; j0 < n; j0 += 4 * S) {
+        __m256i mask[S];
+        for (std::size_t s = 0; s < S; ++s) mask[s] = avx2_live_lanes(n, j0 + 4 * s);
+        __m256d acc[M][S];
+        for (std::size_t r = 0; r < M; ++r)
+            for (std::size_t s = 0; s < S; ++s) acc[r][s] = _mm256_setzero_pd();
+        for (std::size_t p = 0; p < kc; ++p) {
+            const double* brow = b + p * ldb + j0;
+            __m256d bv[S];
+            for (std::size_t s = 0; s < S; ++s) {
+                bv[s] = _mm256_maskload_pd(brow + 4 * s, mask[s]);
+            }
+            for (std::size_t r = 0; r < M; ++r) {
+                const __m256d ar = _mm256_broadcast_sd(a + r * lda + p);
+                for (std::size_t s = 0; s < S; ++s) {
+                    acc[r][s] = _mm256_fmadd_pd(ar, bv[s], acc[r][s]);
+                }
+            }
+        }
+        for (std::size_t r = 0; r < M; ++r) {
+            double* crow = c + r * ldc + j0;
+            for (std::size_t s = 0; s < S; ++s) {
+                const __m256d sum =
+                    _mm256_add_pd(_mm256_maskload_pd(crow + 4 * s, mask[s]), acc[r][s]);
+                _mm256_maskstore_pd(crow + 4 * s, mask[s], sum);
+            }
+        }
+    }
+}
+
+// The AVX-512 GEMV covers 16 columns (two 8-lane strips) per pass with
+// masked loads and stores; lanes past n never touch memory.
+
+/// Mask of the lanes j0 + 0..7 that lie below n.
+inline __mmask8 avx512_live_lanes(std::size_t n, std::size_t j0) {
+    const std::size_t live = j0 < n ? std::min<std::size_t>(n - j0, 8) : 0;
+    return static_cast<__mmask8>((1u << live) - 1u);
+}
+
+template <std::size_t M>
+__attribute__((target("avx512f"))) void gemv_avx512(const double* __restrict a, std::size_t lda,
+                                                    const double* __restrict b, std::size_t ldb,
+                                                    std::size_t n, std::size_t kc,
+                                                    double* __restrict c, std::size_t ldc) {
+    constexpr std::size_t S = 2;
+    for (std::size_t j0 = 0; j0 < n; j0 += 8 * S) {
+        __mmask8 mask[S];
+        for (std::size_t s = 0; s < S; ++s) mask[s] = avx512_live_lanes(n, j0 + 8 * s);
+        __m512d acc[M][S];
+        for (std::size_t r = 0; r < M; ++r)
+            for (std::size_t s = 0; s < S; ++s) acc[r][s] = _mm512_setzero_pd();
+        for (std::size_t p = 0; p < kc; ++p) {
+            const double* brow = b + p * ldb + j0;
+            __m512d bv[S];
+            for (std::size_t s = 0; s < S; ++s) {
+                bv[s] = _mm512_maskz_loadu_pd(mask[s], brow + 8 * s);
+            }
+            for (std::size_t r = 0; r < M; ++r) {
+                const __m512d ar = _mm512_set1_pd(a[r * lda + p]);
+                for (std::size_t s = 0; s < S; ++s) {
+                    acc[r][s] = _mm512_fmadd_pd(ar, bv[s], acc[r][s]);
+                }
+            }
+        }
+        for (std::size_t r = 0; r < M; ++r) {
+            double* crow = c + r * ldc + j0;
+            for (std::size_t s = 0; s < S; ++s) {
+                const __m512d sum =
+                    _mm512_add_pd(_mm512_maskz_loadu_pd(mask[s], crow + 8 * s), acc[r][s]);
+                _mm512_mask_storeu_pd(crow + 8 * s, mask[s], sum);
+            }
+        }
+    }
+}
+
+constexpr GemvFn kGemvAvx2[kGemvRows] = {gemv_avx2<1>, gemv_avx2<2>, gemv_avx2<3>, gemv_avx2<4>};
+constexpr GemvFn kGemvAvx512[kGemvRows] = {gemv_avx512<1>, gemv_avx512<2>, gemv_avx512<3>,
+                                           gemv_avx512<4>};
+
 bool avx2_available() {
     static const bool available = [] {
         __builtin_cpu_init();
@@ -313,6 +482,55 @@ KernelConfig pick_avx512(std::size_t m) {
     return {tile_avx512_8x8, 8, 8};
 }
 #endif
+
+/// Picks the GEMV arm, indexed by live rows − 1. A forced variant stays in
+/// its own arm; Auto takes the widest, since every FMA arm (tile or GEMV)
+/// produces the same bits per lane.
+const GemvFn* pick_gemv() {
+    switch (forced_kernel_variant()) {
+        case KernelVariant::Portable:
+            return kGemvPortable;
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+        case KernelVariant::Avx2:
+            return kGemvAvx2;
+        case KernelVariant::Avx512:
+            return kGemvAvx512;
+#endif
+        default:
+            break;
+    }
+#ifdef XS_GEMM_HAVE_AVX2_VARIANT
+    if (avx512_available()) return kGemvAvx512;
+    if (avx2_available()) return kGemvAvx2;
+#endif
+    return kGemvPortable;
+}
+
+/// C += alpha·A·B by the GEMV kernels, both operands untransposed.
+/// alpha is folded into a scaled copy of A exactly as pack_a folds it
+/// (alpha = 1 scales nothing, bit for bit, so A is read in place).
+void gemv_dispatch(double alpha, const Matrix& A, const Matrix& B, Matrix& C, std::size_t m,
+                   std::size_t n, std::size_t kA) {
+    const GemvFn* const kernel = pick_gemv();
+    Arena& arena = thread_arena();
+    const Arena::Scope scratch(arena);
+    const double* a = A.data();
+    if (alpha != 1.0) {
+        const std::span<double> scaled = arena.alloc<double>(m * kA);
+        for (std::size_t i = 0; i < m * kA; ++i) scaled[i] = alpha * a[i];
+        a = scaled.data();
+    }
+    const std::size_t ldb = B.cols();
+    const std::size_t ldc = C.cols();
+    for (std::size_t k0 = 0; k0 < kA; k0 += kBlockK) {
+        const std::size_t kc = std::min(kBlockK, kA - k0);
+        for (std::size_t i = 0; i < m; i += kGemvRows) {
+            const std::size_t mr = std::min(kGemvRows, m - i);
+            kernel[mr - 1](a + i * kA + k0, kA, B.data() + k0 * ldb, ldb, n, kc,
+                           C.data() + i * ldc, ldc);
+        }
+    }
+}
 
 // ---- panel packing ----------------------------------------------------------
 
@@ -453,6 +671,13 @@ void gemm_rows(const KernelConfig& cfg, double alpha, const Matrix& A, Op opA, c
 /// C += alpha·op(A)·op(B), shapes already validated, beta already applied.
 void gemm_dispatch(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, Matrix& C,
                    std::size_t m, std::size_t n, std::size_t kA, ThreadPool* pool) {
+    // Few rows against a row-major B: the GEMV kernels read B in place and
+    // skip A packing. They reproduce the tiles' per-element chain, so the
+    // choice is invisible in the results.
+    if (m <= kGemvMaxRows && opA == Op::None && opB == Op::None) {
+        gemv_dispatch(alpha, A, B, C, m, n, kA);
+        return;
+    }
     const KernelConfig cfg = pick_kernel(m, n);
 
     // Skip the full B repack when the operand is already row-major and m is

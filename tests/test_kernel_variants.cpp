@@ -171,6 +171,81 @@ TEST(KernelVariants, ScalarVsBatchAgreementPerVariant) {
     }
 }
 
+/// Rows [r0, r0 + m) of `M`.
+Matrix rows_of(const Matrix& M, std::size_t r0, std::size_t m) {
+    Matrix out(m, M.cols());
+    for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t c = 0; c < M.cols(); ++c) out(r, c) = M(r0 + r, c);
+    return out;
+}
+
+TEST(KernelVariants, SmallRowGemvMatchesTilesBitForBit) {
+    // A product of a few rows with both operands untransposed runs on the
+    // GEMV kernels; a larger batch, or a transposed operand, on the packed
+    // register tiles. The GEMV reproduces a tile's accumulation chain, so a
+    // small sub-batch equals the same rows inside a 16-row batch (past any
+    // GEMV cutoff) bit for bit, on every arm. Shapes cover 4- and 8-lane
+    // column tails, k-block edges (kBlockK = 256) and the alpha/beta paths.
+    VariantGuard guard;
+    constexpr std::size_t kBatch = 16;
+    for (const KernelVariant v : available_variants()) {
+        set_kernel_variant(v);
+        Rng rng(61);
+        for (const std::size_t k : {1, 255, 256, 257, 784}) {
+            for (const std::size_t n : {1, 3, 4, 7, 8, 9, 10, 17}) {
+                const Matrix A = Matrix::random_normal(rng, kBatch, k);
+                const Matrix B = Matrix::random_normal(rng, k, n);
+                const Matrix C0 = Matrix::random_normal(rng, kBatch, n);
+                for (const double alpha : {1.0, -0.5}) {
+                    for (const double beta : {0.0, 1.0, 2.5}) {
+                        Matrix full = C0;
+                        gemm_rowstable(alpha, A, Op::None, B, Op::None, beta, full);
+                        for (const std::size_t m : {1, 2, 3, 4, 5, 7, 8}) {
+                            for (const std::size_t r0 : {std::size_t{0}, kBatch - m}) {
+                                Matrix sub = rows_of(C0, r0, m);
+                                gemm_rowstable(alpha, rows_of(A, r0, m), Op::None, B, Op::None,
+                                               beta, sub);
+                                ASSERT_EQ(sub, rows_of(full, r0, m))
+                                    << to_string(v) << " m=" << m << " r0=" << r0 << " k=" << k
+                                    << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelVariants, SmallRowTransposedOperandsFallThroughBitForBit) {
+    // With op(A) or op(B) transposed a small product stays on the tiles.
+    // The operands' values are the same, so it must equal the GEMV product
+    // of the untransposed copies bit for bit.
+    VariantGuard guard;
+    for (const KernelVariant v : available_variants()) {
+        set_kernel_variant(v);
+        Rng rng(67);
+        for (const std::size_t m : {1, 2, 3, 4}) {
+            for (const auto& [k, n] : {std::pair<std::size_t, std::size_t>{257, 10}, {784, 10},
+                                       {255, 17}, {1, 3}}) {
+                const Matrix A = Matrix::random_normal(rng, m, k);
+                const Matrix B = Matrix::random_normal(rng, k, n);
+                const Matrix C0 = Matrix::random_normal(rng, m, n);
+                Matrix gemv = C0;
+                gemm_rowstable(-0.5, A, Op::None, B, Op::None, 2.5, gemv);
+                Matrix tiles_a = C0;
+                gemm_rowstable(-0.5, A.transposed(), Op::Transpose, B, Op::None, 2.5, tiles_a);
+                Matrix tiles_b = C0;
+                gemm_rowstable(-0.5, A, Op::None, B.transposed(), Op::Transpose, 2.5, tiles_b);
+                ASSERT_EQ(tiles_a, gemv) << to_string(v) << " opA=T m=" << m << " k=" << k
+                                         << " n=" << n;
+                ASSERT_EQ(tiles_b, gemv) << to_string(v) << " opB=T m=" << m << " k=" << k
+                                         << " n=" << n;
+            }
+        }
+    }
+}
+
 TEST(KernelVariants, VariantsAgreeWithEachOtherToRounding) {
     VariantGuard guard;
     const auto variants = available_variants();
