@@ -9,7 +9,9 @@
 // series measure this PR's work: per-ISA-arm throughput (portable / AVX2 /
 // AVX-512 via set_kernel_variant) on the paper shapes plus the
 // normal-equations and hidden-layer products, and the trainer hot loop
-// with the workspace arena on vs off. Results go to BENCH_gemm.json via
+// with the workspace arena on vs off. The small-m and route series price
+// the GEMV routes per arm (ns per crossbar row, µs per trainer or
+// crossbar-batch product). Results go to BENCH_gemm.json via
 // the shared recorder; the full run fails (non-zero exit) if the kernel
 // does not hold >= 2x single-thread throughput over the PR-1 baseline on
 // the paper-shape products, or — on avx512f hosts, where this PR's
@@ -407,6 +409,78 @@ int main(int argc, char** argv) {
             if (!has_avx512) stable.add("-");
         }
         std::cout << "\n## Small-m rowstable GEMM, (m x784)*(784x10)\n\n" << stable;
+
+        // ---- narrow/wide series: the 10-class products ---------------------
+        //
+        // µs per call, per arm, at the shapes the narrow-n and wide-and-flat
+        // GEMV routes serve: the trainer's forward X·Wᵀ and weight gradient
+        // Δᵀ·X at batch 32 (the trainers' minibatch) and 256, at both input
+        // widths, the MLP hidden layer's forward U·Wᵀ (128 units) on 4 and
+        // 8 rows, plus batched crossbar reads (gemm_rowstable against the
+        // 784×10 conductances). Built against a tiles-only library the same
+        // series prices the packed tiles (and, for the gradients, the
+        // transpose-swap that the wide-flat route replaced).
+        struct RouteShape {
+            std::string label;
+            std::size_t m, k, n;
+            Op opA, opB;
+            double alpha;
+            bool rowstable;
+        };
+        std::vector<RouteShape> rshapes;
+        for (const std::size_t b : {std::size_t{32}, std::size_t{256}}) {
+            for (const std::size_t dim : {std::size_t{784}, std::size_t{3072}}) {
+                const std::string set = dim == 784 ? "mnist" : "cifar";
+                const std::string bs = std::to_string(b), ds = std::to_string(dim);
+                rshapes.push_back({"fwd " + set + " (" + bs + "x" + ds + ")*(" + ds + "x10)", b,
+                                   dim, 10, Op::None, Op::Transpose, 1.0 / 32.0, false});
+                rshapes.push_back({"grad " + set + " (10x" + bs + ")*(" + bs + "x" + ds + ")", 10,
+                                   b, dim, Op::Transpose, Op::None, 1.0 / 32.0, false});
+            }
+        }
+        for (const std::size_t m : {std::size_t{4}, std::size_t{8}}) {
+            rshapes.push_back({"mlp hidden fwd (" + std::to_string(m) + "x784)*(784x128)", m, 784,
+                               128, Op::None, Op::Transpose, 1.0, false});
+        }
+        for (const std::size_t m : {std::size_t{16}, std::size_t{256}, std::size_t{1000}}) {
+            rshapes.push_back({"crossbar rowstable (" + std::to_string(m) + "x784)*(784x10)", m,
+                               784, 10, Op::None, Op::None, 1.0, true});
+        }
+        Table rtable({"Shape", "Portable us", "AVX2 us", "AVX-512 us"});
+        for (const RouteShape& s : rshapes) {
+            Rng rng(s.m * 13 + s.k * 5 + s.n);
+            const Matrix A = Matrix::random_normal(rng, s.opA == Op::None ? s.m : s.k,
+                                                   s.opA == Op::None ? s.k : s.m);
+            const Matrix B = Matrix::random_normal(rng, s.opB == Op::None ? s.k : s.n,
+                                                   s.opB == Op::None ? s.n : s.k);
+            Matrix C(s.m, s.n, 0.0);
+            rec.begin("route: " + s.label);
+            rec.add("m", static_cast<long long>(s.m));
+            rec.add("k", static_cast<long long>(s.k));
+            rec.add("n", static_cast<long long>(s.n));
+            rtable.begin_row();
+            rtable.add(s.label);
+            for (const KernelVariant v : variants) {
+                tensor::set_kernel_variant(v);
+                const double gf = gflops(
+                    [&] {
+                        if (s.rowstable) {
+                            tensor::gemm_rowstable(s.alpha, A, s.opA, B, s.opB, 0.0, C);
+                        } else {
+                            tensor::gemm(s.alpha, A, s.opA, B, s.opB, 0.0, C);
+                        }
+                    },
+                    s.m, s.k, s.n, reps);
+                const double us = 2.0 * static_cast<double>(s.m * s.k * s.n) / gf / 1e3;
+                rec.add(std::string("us_") + tensor::to_string(v), us);
+                rtable.add(us, 1);
+            }
+            tensor::set_kernel_variant(entry_variant);
+            if (!tensor::kernel_variant_available(KernelVariant::Avx2)) rtable.add("-");
+            if (!has_avx512) rtable.add("-");
+        }
+        std::cout << "\n## Narrow/wide routes: trainer, MLP hidden and crossbar products, us per call\n\n"
+                  << rtable;
 
         // ---- trainer hot loop: seed (fresh allocations, pre-PR kernel) vs
         //      the arena-backed path under the current dispatcher ------------

@@ -3,40 +3,56 @@
 // Minibatch training is expressed as GEMMs (X·Wᵀ forward, Gᵀ·X for weight
 // gradients), and every crossbar read — a batch or a single attacker
 // query — reduces to one GEMM against the differential conductance matrix,
-// so this is the throughput core of the whole library. The implementation
-// is a packed-panel kernel (no external BLAS dependency):
+// so this is the throughput core of the whole library. There is no
+// external BLAS dependency. A product takes one of four routes, chosen by
+// shape alone (m×n output, k deep, after the ops):
 //
-//   * the k dimension is blocked (256 deep) so a panel of each operand stays
-//     cache-resident while it is consumed;
-//   * B's k-slice is packed once per block into register-tile-wide strips
-//     (or, for few row blocks, read in place with only the ragged tail strip
-//     packed), A's rows are packed (alpha-scaled, transposes folded in) per
-//     micro-panel — the inner loop only ever reads contiguous memory;
-//   * the hot loop updates a register tile of C. It is compiled in three
-//     arms picked at runtime, with no -march flags: a portable 4×4 (plain
-//     C++, unfused multiply-add), AVX2+FMA 6×4 / 6×8, and AVX-512F 8×8 /
-//     12×8 (see "kernel-variant dispatch" below).
+//   route         shape                              kernel
+//   ------------  ---------------------------------  ------------------------
+//   narrow-n      n ≤ 16, any m, any ops             GEMV, ≤ 4 rows per call
+//   small-m       m ≤ 8, both ops untransposed       GEMV, ≤ 4 rows per call
+//   wide-flat     gemm() only: m ≤ 12, n ≥ 64,       GEMV, ≤ 12 rows per call
+//                 n ≥ 4m, any ops                    (AVX2 6, portable 4)
+//   tiles         everything else                    packed register tiles
 //
-// Small-m GEMV path. A product of at most 8 rows with both operands
-// untransposed — one crossbar query is a 1-row product against the 784×10
-// conductances — skips A packing and the tiles. A GEMV kernel, compiled in
-// the same three arms (AVX-512 8-lane masked, AVX2 4-lane maskload,
-// portable scalar), carries up to 4 rows that share every B load and reads
-// B's rows in place, masking the ragged column tail. It is chosen by shape
-// alone. A scalar 784×10 product costs 1.4–1.6 µs on it against 15–17 µs
-// through the tiles (AVX2/AVX-512 arms; BENCH_gemm.json "small-m" series).
+// The tiles are a packed-panel kernel: k is blocked 256 deep so a panel of
+// each operand stays cache-resident; B's k-slice is packed once per block
+// into register-tile-wide strips (or read in place, with only the ragged
+// tail strip packed, when there are few row blocks); A's rows are packed
+// (alpha-scaled, transposes folded in) per micro-panel; the hot loop
+// updates a register tile of C. Tiles come in three arms picked at
+// runtime, with no -march flags: a portable 4×4 (plain C++, unfused
+// multiply-add), AVX2+FMA 6×8 and AVX-512F 8×8 / 12×8.
 //
-// Why the GEMV keeps gemm_rowstable's contract: it reproduces a tile's
-// accumulation chain for every C element exactly — a fresh accumulator per
-// k-block, p ascending over alpha·a[p] scaled as pack_a scales it, fused
-// multiply-add on the FMA arms and the tile's unfused expression on the
-// portable arm, then one add of the block's partial sum into C. A row
-// therefore has the same bits whether it is computed alone on the GEMV or
-// inside a batch on the tiles (pinned per arm by test_kernel_variants).
+// The GEMV kernels — the same three arms: AVX-512 8-lane masked strips,
+// AVX2 4-lane strips, portable scalar strips — read op(A) in place
+// (either op) and B's rows in place, masking the ragged column tail. A
+// transposed B (the layer's Wᵀ) is copied once per call into a k×n
+// scratch on the narrow-n route; the wide-flat route instead runs such a
+// product swapped (Cᵀ = B·op(A)ᵀ, B's rows broadcast in place, op(A)ᵀ's
+// ≤ 12 columns as the lanes), because copying a wide Wᵀ costs more than
+// the product. Every row of a call shares each B load. They serve the
+// paper's 10-class products. On the AVX-512 arm a scalar 784×10 crossbar
+// read costs 1.4–1.6 µs on them against 15–17 µs through the tiles, the
+// trainers' forward X·Wᵀ at batch 32 28 µs against 40 µs, and their
+// weight gradient Δᵀ·X 11 µs against 37 µs (BENCH_gemm.json "small-m"
+// and "route" series; tiles figures from the tree before the routes).
 //
-// Passing a ThreadPool shards the output over row panels. Each C element
-// accumulates in the same order regardless of the partition, so the
-// parallel product is bit-identical to the serial one (tested).
+// Why every route keeps gemm_rowstable's contract: each reproduces a
+// tile's accumulation chain for every C element exactly — a fresh
+// accumulator per k-block, p ascending over alpha·a[p] scaled as pack_a
+// scales it, fused multiply-add on the FMA arms and the tile's unfused
+// expression on the portable arm, then one add of the block's partial sum
+// into C. A row therefore has the same bits on any route, alone or inside
+// a batch (pinned per arm by test_kernel_variants). gemm()'s wide-flat
+// route differs in one place, by design: alpha scales op(B) rather than
+// op(A), as in the transpose-swap it replaced, so with beta = 0 (every
+// caller in the library) gemm()'s results are the bits they always were.
+//
+// Passing a ThreadPool shards the output over row panels (column panels on
+// the wide-flat route). Each C element accumulates in the same order
+// regardless of the partition, so the parallel product is bit-identical to
+// the serial one (tested).
 #pragma once
 
 #include "xbarsec/common/threadpool.hpp"
@@ -51,10 +67,9 @@ enum class Op { None, Transpose };
 //
 // The register-tile and GEMV micro-kernels are compiled at three ISA levels
 // and picked at runtime: portable (plain C++), AVX2+FMA and AVX-512F.
-// `Auto` (the default) picks an arm the CPU supports per product shape: the
-// widest for the GEMV, AVX2 6×4 tiles for skinny outputs where 8-lane
-// strips would be mostly padding. Every FMA arm yields the same bits per
-// output element, so that choice never changes a result. The other values
+// `Auto` (the default) picks the widest arm the CPU supports. Every FMA arm
+// yields the same bits per output element, so that choice never changes a
+// result. The other values
 // force one arm — for conformance testing (ctest -L kernel runs the GEMM
 // property suites once per variant) and for benchmarking the arms against
 // each other. Forcing is also available without code via the
@@ -91,10 +106,10 @@ KernelVariant parse_kernel_variant(const std::string& name);
 void gemm(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, double beta, Matrix& C,
           ThreadPool* pool = nullptr);
 
-/// gemm without the wide-and-flat transpose-swap heuristic. Guarantees
-/// that each row of C is produced by an accumulation chain that depends
-/// only on (k, n) and that row of op(A) — never on m or the pool — so any
-/// row partition of the batch yields bit-identical rows. The crossbar's
+/// gemm without the wide-flat route. Guarantees that each row of C is
+/// produced by an accumulation chain that depends only on (k, n) and that
+/// row of op(A) — never on m or the pool — so any row partition of the
+/// batch yields bit-identical rows. The crossbar's
 /// batched measurement paths use this for split-invariant reproducibility;
 /// prefer plain gemm() everywhere throughput is the only requirement.
 void gemm_rowstable(double alpha, const Matrix& A, Op opA, const Matrix& B, Op opB, double beta,

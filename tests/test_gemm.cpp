@@ -147,12 +147,12 @@ TEST(Gemm, ParallelMatchesSerialBitForBit) {
     ThreadPool pool(3);
     Rng rng(17);
     // Shapes chosen to exercise every dispatch path: the sharded row-panel
-    // path (large m), the transpose-swapped wide-and-flat path, tail
+    // path (large m), gemm()'s wide-flat route (column panels), tail
     // panels (m % panel != 0), and every transpose combination.
     const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
         {256, 300, 100},  // sharded, multiple k-blocks
         {197, 64, 129},   // sharded with ragged row/strip tails
-        {10, 256, 784},   // wide-and-flat: transpose-swapped, shard inside
+        {10, 256, 784},   // wide-flat route, sharded over column panels
         {512, 784, 10},   // the batched-inference shape
     };
     for (const auto& [m, k, n] : shapes) {
@@ -175,12 +175,13 @@ TEST(Gemm, RowStableVariantIsBitExactAcrossRowPartitions) {
     // gemm_rowstable's contract: a row of C depends only on (k, n) and
     // that row of A — so computing any sub-range of rows reproduces the
     // full product's bits. Shapes include n >= 64 outputs, where plain
-    // gemm() would transpose-swap small batches and break this.
+    // gemm() would send small batches down its wide-flat route (alpha
+    // on op(B)'s side) and break this.
     ThreadPool pool(4);
     Rng rng(31);
     const std::tuple<std::size_t, std::size_t, std::size_t> shapes[] = {
         {256, 784, 10},   // the batched-inference shape
-        {256, 8, 64},     // many outputs: swap territory for small m
+        {256, 8, 64},     // many outputs: wide-flat territory for small m
         {100, 3072, 10},  // CIFAR-width inputs
         {97, 33, 100},    // ragged everything
     };

@@ -1,12 +1,15 @@
 // Kernel-variant conformance: every ISA arm of the GEMM dispatcher obeys
 // the same contracts.
 //
-// The dispatcher compiles a portable 4×4 tile plus AVX2 (6×8/6×4) and
-// AVX-512 (12×8/8×8) arms and picks at runtime. This suite forces each
-// variant the host supports via set_kernel_variant() and re-asserts the
-// kernel-layer contracts per variant:
+// The dispatcher compiles a portable 4×4 tile plus AVX2 (6×8) and
+// AVX-512 (12×8/8×8) arms, each with its GEMV kernels, and picks at
+// runtime. This suite forces each variant the host supports via
+// set_kernel_variant() and re-asserts the kernel-layer contracts per
+// variant:
 //   * correctness against the reference triple loop, all transpose
 //     combinations, alpha/beta cases;
+//   * every route (narrow-n, small-m and wide-flat GEMV, tiles) equal bit
+//     for bit to the per-element accumulation chain it must reproduce;
 //   * pool-sharded == serial, bit for bit;
 //   * gemm_rowstable's scalar-vs-batch agreement — any row sub-batch
 //     (down to single rows) reproduces the full product's bits;
@@ -16,6 +19,7 @@
 // CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -181,10 +185,10 @@ Matrix rows_of(const Matrix& M, std::size_t r0, std::size_t m) {
 
 TEST(KernelVariants, SmallRowGemvMatchesTilesBitForBit) {
     // A product of a few rows with both operands untransposed runs on the
-    // GEMV kernels; a larger batch, or a transposed operand, on the packed
-    // register tiles. The GEMV reproduces a tile's accumulation chain, so a
-    // small sub-batch equals the same rows inside a 16-row batch (past any
-    // GEMV cutoff) bit for bit, on every arm. Shapes cover 4- and 8-lane
+    // small-m GEMV; a 16-row batch on the narrow-n GEMV (n ≤ 16) or the
+    // packed register tiles (n = 17). Every route reproduces a tile's
+    // accumulation chain, so a small sub-batch equals the same rows inside
+    // the batch bit for bit, on every arm. Shapes cover 4- and 8-lane
     // column tails, k-block edges (kBlockK = 256) and the alpha/beta paths.
     VariantGuard guard;
     constexpr std::size_t kBatch = 16;
@@ -218,9 +222,11 @@ TEST(KernelVariants, SmallRowGemvMatchesTilesBitForBit) {
 }
 
 TEST(KernelVariants, SmallRowTransposedOperandsFallThroughBitForBit) {
-    // With op(A) or op(B) transposed a small product stays on the tiles.
-    // The operands' values are the same, so it must equal the GEMV product
-    // of the untransposed copies bit for bit.
+    // With op(A) or op(B) transposed a small product leaves the small-m
+    // GEMV: for n ≤ 16 it takes the narrow-n GEMV (strided op(A), or a
+    // transposed copy of B), for n = 17 the tiles. The operands' values
+    // are the same, so it must equal the small-m GEMV product of the
+    // untransposed copies bit for bit.
     VariantGuard guard;
     for (const KernelVariant v : available_variants()) {
         set_kernel_variant(v);
@@ -241,6 +247,127 @@ TEST(KernelVariants, SmallRowTransposedOperandsFallThroughBitForBit) {
                                          << " n=" << n;
                 ASSERT_EQ(tiles_b, gemv) << to_string(v) << " opB=T m=" << m << " k=" << k
                                          << " n=" << n;
+            }
+        }
+    }
+}
+
+/// One k-block's partial sum, p ascending, unfused (the portable arm).
+double block_sum_unfused(const double* a, const double* b, std::size_t len) {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < len; ++p) acc = acc + a[p] * b[p];
+    return acc;
+}
+
+/// The same sum fused (the FMA arms). Only called on FMA hosts; the target
+/// makes std::fma one instruction rather than a libm call.
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("fma")))
+#endif
+double block_sum_fused(const double* a, const double* b, std::size_t len) {
+    double acc = 0.0;
+    for (std::size_t p = 0; p < len; ++p) acc = std::fma(a[p], b[p], acc);
+    return acc;
+}
+
+/// The accumulation chain every route must reproduce, written out per
+/// element of C: beta applied as gemm applies it, then per kBlockK-deep
+/// k-block a fresh accumulator summing p ascending — std::fma on the FMA
+/// arms, an unfused multiply-add on the portable arm — added into C.
+/// gemm()'s wide-and-flat shapes keep the alpha placement of the
+/// transpose-swap they used to take: alpha scales op(B) instead of op(A).
+Matrix chain_reference(const Matrix& opA, const Matrix& opB, const Matrix& C0, double alpha,
+                       double beta, bool fused, bool wide) {
+    constexpr std::size_t kBlock = 256;
+    const std::size_t m = opA.rows(), k = opA.cols(), n = opB.cols();
+    Matrix a = opA, bt = opB.transposed();  // bt: row j holds column j of op(B)
+    if (wide) {
+        bt *= alpha;
+    } else {
+        a *= alpha;
+    }
+    Matrix C(m, n);
+    for (std::size_t i = 0; i < m; ++i) {
+        const double* arow = a.data() + i * k;
+        for (std::size_t j = 0; j < n; ++j) {
+            const double* bcol = bt.data() + j * k;
+            double c = beta == 0.0 ? 0.0 : beta == 1.0 ? C0(i, j) : C0(i, j) * beta;
+            for (std::size_t k0 = 0; k0 < k; k0 += kBlock) {
+                const std::size_t len = std::min(kBlock, k - k0);
+                c += fused ? block_sum_fused(arow + k0, bcol + k0, len)
+                           : block_sum_unfused(arow + k0, bcol + k0, len);
+            }
+            C(i, j) = c;
+        }
+    }
+    return C;
+}
+
+TEST(KernelVariants, NarrowAndWideRoutesMatchChainReference) {
+    // Every route — the narrow-n GEMV (n ≤ 16, any m, either op), the
+    // small-m GEMV, gemm()'s wide-and-flat GEMV and the tiles — against
+    // the per-element chain, bit for bit, under every arm, serial and
+    // pooled. With a transposed B the wide-and-flat shapes run swapped,
+    // m becoming the lane count (1, 4 and 9 lanes take one, one and two
+    // strips on AVX-512). The shapes straddle the GEMV cutoffs (m = 8/9,
+    // n = 16/64), the k-block edges and the pool's sharding threshold
+    // (4e6 flops); the (alpha, beta) pairs cover alpha = 1 (no scaling) and each
+    // scaled alpha against every beta path (zero, one, scaled).
+    VariantGuard guard;
+    ThreadPool pool(3);
+    const std::vector<KernelVariant> variants = available_variants();
+    const bool fma_host = kernel_variant_available(KernelVariant::Avx2);
+    const std::pair<double, double> scalings[] = {
+        {1.0, 0.0}, {1.0, 2.5}, {-0.5, 0.0}, {-0.5, 1.0}, {1.0 / 3.0, 2.5}, {1.0 / 3.0, 1.0},
+    };
+    Rng rng(71);
+    for (const std::size_t m : {1, 4, 9, 13, 32, 65, 257}) {
+        for (const std::size_t n : {1, 3, 8, 10, 16, 64, 100, 784}) {
+            if (n > 16 && m > 12) continue;  // wide outputs only where m is flat
+            for (const std::size_t k : {1, 32, 255, 256, 257, 784}) {
+                for (const Op opA : {Op::None, Op::Transpose}) {
+                    for (const Op opB : {Op::None, Op::Transpose}) {
+                        const Matrix effA = Matrix::random_normal(rng, m, k);
+                        const Matrix effB = Matrix::random_normal(rng, k, n);
+                        const Matrix A = opA == Op::None ? effA : effA.transposed();
+                        const Matrix B = opB == Op::None ? effB : effB.transposed();
+                        const Matrix C0 = Matrix::random_normal(rng, m, n);
+                        const bool wide_shape = m <= 12 && n >= 64 && n >= 4 * m;
+                        for (const auto& [alpha, beta] : scalings) {
+                            Matrix expect[2][2];  // [fused][wide]
+                            for (const bool fused : {false, true}) {
+                                for (const bool wide : {false, true}) {
+                                    if ((wide && !wide_shape) || (fused && !fma_host)) continue;
+                                    expect[fused][wide] =
+                                        chain_reference(effA, effB, C0, alpha, beta, fused, wide);
+                                }
+                            }
+                            for (const KernelVariant v : variants) {
+                                set_kernel_variant(v);
+                                const bool fused = v != KernelVariant::Portable && fma_host;
+                                for (const bool rowstable : {false, true}) {
+                                    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr),
+                                                          &pool}) {
+                                        Matrix C = C0;
+                                        if (rowstable) {
+                                            gemm_rowstable(alpha, A, opA, B, opB, beta, C, p);
+                                        } else {
+                                            gemm(alpha, A, opA, B, opB, beta, C, p);
+                                        }
+                                        const bool wide = wide_shape && !rowstable;
+                                        ASSERT_EQ(C, expect[fused][wide])
+                                            << to_string(v) << (rowstable ? " rowstable" : "")
+                                            << (p ? " pooled" : " serial") << " m=" << m
+                                            << " n=" << n << " k=" << k
+                                            << " opA=" << (opA == Op::None ? "N" : "T")
+                                            << " opB=" << (opB == Op::None ? "N" : "T")
+                                            << " alpha=" << alpha << " beta=" << beta;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -30,8 +30,8 @@ struct Shape {
 
 /// The four deployed-array shapes of the paper's experiments: the MNIST
 /// and CIFAR heads, a ragged small array, and a many-output array (which
-/// exercises the row-stable GEMM where the plain kernel would
-/// transpose-swap small batches).
+/// exercises the row-stable GEMM where plain gemm() would send small
+/// batches down its wide-flat route).
 const Shape kPaperShapes[] = {{10, 784}, {10, 3072}, {7, 33}, {64, 8}};
 
 DeviceSpec spec() {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "xbarsec/attack/surrogate.hpp"
 #include "xbarsec/common/error.hpp"
+#include "xbarsec/data/dataset.hpp"
+#include "xbarsec/nn/trainer.hpp"
 #include "xbarsec/stats/correlation.hpp"
 #include "xbarsec/tensor/gemm.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -230,6 +233,50 @@ TEST(LeastSquaresSurrogate, CallerProvidedWorkspaceIsBitIdenticalAcrossFits) {
     }
     EXPECT_EQ(held.rows(), 2u);
     EXPECT_EQ(held(1, 1), 7.0);
+}
+
+TEST(TrainSurrogate, BitIdenticalAcrossFmaKernelArms) {
+    // The trainers' 10-wide forward X·Wᵀ and weight gradient Δᵀ·X run on
+    // the GEMV routes under every arm; forcing AVX2 or AVX-512 (or letting
+    // Auto pick) must not change one bit of the fitted weights — λ = 0 and
+    // λ > 0, a ragged last minibatch (100 % 32 ≠ 0), and the victim
+    // trainer nn::train alike.
+    if (!tensor::kernel_variant_available(tensor::KernelVariant::Avx512)) {
+        GTEST_SKIP() << "needs AVX-512 (and AVX2) to compare the FMA arms";
+    }
+    const tensor::KernelVariant entry = tensor::forced_kernel_variant();
+    Rng rng(31);
+    const std::size_t N = 100, M = 10, Q = 100;
+    const tensor::Matrix W = tensor::Matrix::random_normal(rng, M, N);
+    const tensor::Matrix U = tensor::Matrix::random_uniform(rng, Q, N);
+    const QueryDataset q = make_queries(W, U);
+    std::vector<int> labels(Q);
+    for (auto& l : labels) l = static_cast<int>(rng.below(M));
+    const data::Dataset ds(U, std::move(labels), M, {1, N, 1});
+
+    std::vector<tensor::Matrix> fits;
+    for (const tensor::KernelVariant v :
+         {tensor::KernelVariant::Avx2, tensor::KernelVariant::Avx512,
+          tensor::KernelVariant::Auto}) {
+        tensor::set_kernel_variant(v);
+        for (const double lambda : {0.0, 0.006}) {
+            SurrogateConfig c = quick_config(lambda, 3);
+            c.train.batch_size = 32;
+            fits.push_back(train_surrogate(q, c).surrogate.weights());
+        }
+        Rng init(1);
+        nn::SingleLayerNet net(init, N, M, nn::Activation::Softmax,
+                               nn::Loss::CategoricalCrossentropy);
+        nn::TrainConfig tc;
+        tc.epochs = 3;
+        tc.batch_size = 32;
+        nn::train(net, ds, tc);
+        fits.push_back(net.weights());
+    }
+    tensor::set_kernel_variant(entry);
+    for (std::size_t i = 3; i < fits.size(); ++i) {
+        EXPECT_EQ(fits[i], fits[i % 3]) << "run " << i % 3 << " under arm " << i / 3;
+    }
 }
 
 }  // namespace
