@@ -20,6 +20,10 @@
 // the max_batch/pipeline-depth interaction (depth@D: max_batch fixed at
 // 1024 while the per-client pipeline depth D varies — the realised mean
 // batch tracks clients x D, not max_batch; see ServiceConfig::max_batch).
+// A trickle series (trickle@<gap>us) prices the idle path: one client
+// submitting async scalar labels at a fixed gap, with the submit-to-ready
+// latency recorded as p50/p99. Every other series is saturated or
+// request-response; this one is neither.
 //
 // Results go to BENCH_service.json through the shared recorder. The
 // acceptance gates (full runs): coalesced >= 3x uncoalesced per-vector
@@ -28,8 +32,10 @@
 // gated on smaller hosts).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -44,6 +50,7 @@
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/loaders.hpp"
+#include "xbarsec/stats/descriptive.hpp"
 
 using namespace xbarsec;
 
@@ -157,6 +164,69 @@ double run_service_clients(core::OracleService& service, const tensor::Matrix& p
     }
     for (auto& t : threads) t.join();
     return timer.seconds();
+}
+
+struct TrickleRun {
+    double p50_us = 0.0;
+    double p99_us = 0.0;
+    double mean_gap_us = 0.0;  ///< achieved submit spacing (sleep overshoot included)
+    double mean_batch = 0.0;
+};
+
+/// One client submitting async scalar labels at a fixed gap, open loop:
+/// the submitter never waits for an answer, and a collector thread
+/// timestamps each future as it becomes ready (one replica answers in
+/// FIFO order, so waiting in submission order loses nothing).
+TrickleRun run_trickle(core::OracleService& service, const tensor::Matrix& pool,
+                       std::chrono::microseconds gap, std::size_t count) {
+    using Clock = std::chrono::steady_clock;
+    core::Session session = service.open_session();
+    std::vector<std::future<int>> futures(count);
+    std::vector<Clock::time_point> submitted(count);
+    std::vector<double> latency_us(count);
+    std::atomic<std::size_t> published{0};
+    const std::uint64_t batches0 = service.flushed_batches();
+    const std::uint64_t rows0 = service.flushed_rows();
+    std::thread collector([&] {
+        for (std::size_t i = 0; i < count; ++i) {
+            published.wait(i, std::memory_order_acquire);  // until future i exists
+            futures[i].wait();
+            latency_us[i] =
+                std::chrono::duration<double, std::micro>(Clock::now() - submitted[i]).count();
+        }
+    });
+    const Clock::time_point start = Clock::now();
+    for (std::size_t i = 0; i < count; ++i) {
+        std::this_thread::sleep_until(start + gap * static_cast<long long>(i));
+        submitted[i] = Clock::now();
+        try {
+            futures[i] = session.submit_label(pool.row(i % pool.rows()));
+        } catch (...) {
+            // Hand the collector a ready future either way, so it always
+            // finishes; the final get() below rethrows.
+            std::promise<int> failed;
+            failed.set_exception(std::current_exception());
+            futures[i] = failed.get_future();
+        }
+        published.store(i + 1, std::memory_order_release);
+        published.notify_one();
+    }
+    collector.join();
+    for (auto& f : futures) (void)f.get();
+
+    TrickleRun run;
+    run.p50_us = stats::quantile(latency_us, 0.50);
+    run.p99_us = stats::quantile(latency_us, 0.99);
+    run.mean_gap_us = count > 1 ? std::chrono::duration<double, std::micro>(
+                                      submitted.back() - submitted.front())
+                                          .count() /
+                                      static_cast<double>(count - 1)
+                                : 0.0;
+    const std::uint64_t batches = service.flushed_batches() - batches0;
+    run.mean_batch = batches > 0 ? static_cast<double>(service.flushed_rows() - rows0) /
+                                       static_cast<double>(batches)
+                                 : 0.0;
+    return run;
 }
 
 /// Zipf(s) rank CDF over n pool rows: weight(r) = (r+1)^-s. s = 0 is
@@ -350,6 +420,8 @@ int main(int argc, char** argv) {
         std::vector<long long> replica_sweep = cli.integer_list("replicas");
         std::vector<long long> depth_sweep = cli.integer_list("depths");
         std::vector<double> skew_sweep = cli.real_list("skews");
+        constexpr long long kTrickleGapsUs[] = {1000, 100};  // submit gaps of the trickle series
+        std::size_t trickle_queries = 4000;  // async scalar labels per trickle measurement
         std::size_t cache_capacity = static_cast<std::size_t>(cli.integer("cache-capacity"));
         const core::RoutingPolicy routing = core::parse_routing_policy(cli.str("routing"));
         std::size_t per_client = static_cast<std::size_t>(cli.integer("queries"));
@@ -369,6 +441,7 @@ int main(int argc, char** argv) {
             config.train.epochs = 2;
             skew_sweep = {0, 1.0};
             cache_capacity = 512;  // half the smoke pool, matching the full-run ratio
+            trickle_queries = 200;
         }
 
         const data::DataSplit split = data::load_mnist_like(load);
@@ -557,8 +630,11 @@ int main(int argc, char** argv) {
         // max_batch pinned far above what the clients can supply: with C
         // clients at pipeline depth D, at most C x D rows are ever in
         // flight, so the realised mean batch saturates near min(C x D,
-        // max_batch) and max_wait closes every window early. This is the
-        // "max_batch@1024 plateaus near 437 rows" anomaly, isolated.
+        // max_batch). The flusher is work-conserving — an idle replica
+        // flushes at once, and a batch is whatever queued behind the
+        // previous backend call — so a batch never waits for max_batch
+        // to fill. This is the "max_batch@1024 plateaus near 437 rows"
+        // anomaly, isolated.
         constexpr std::size_t kDepthSeriesMaxBatch = 1024;
         Table depth_table({"Pipeline depth", "In-flight cap", "Coalesced q/s", "Mean batch"});
         for (const long long dd : depth_sweep) {
@@ -674,6 +750,38 @@ int main(int argc, char** argv) {
             }
         }
 
+        // -- series 6: the idle path (trickle) -----------------------------------
+        //
+        // One client, async scalar labels at a fixed gap, far below the
+        // backend's capacity: the replica is idle at almost every
+        // arrival, so the latency is the cost of the idle path itself
+        // (enqueue, flusher wake, one-row backend call, future wake).
+        // Recorded without a gate.
+        Table trickle_table({"Gap (us)", "Achieved gap (us)", "p50 (us)", "p99 (us)",
+                             "Mean batch"});
+        for (const long long gap : kTrickleGapsUs) {
+            core::ServiceConfig service_config;
+            service_config.pool = pool.get();
+            core::OracleService service(backend, service_config);
+            (void)run_trickle(service, query_pool, std::chrono::microseconds(gap),
+                              trickle_queries / 10 + 1);  // warm
+            const TrickleRun run = run_trickle(service, query_pool,
+                                               std::chrono::microseconds(gap), trickle_queries);
+            trickle_table.begin_row();
+            trickle_table.add(gap);
+            trickle_table.add(run.mean_gap_us, 1);
+            trickle_table.add(run.p50_us, 1);
+            trickle_table.add(run.p99_us, 1);
+            trickle_table.add(run.mean_batch, 2);
+            rec.begin("trickle@" + std::to_string(gap) + "us");
+            rec.add("gap_us", gap);
+            rec.add("achieved_gap_us", run.mean_gap_us);
+            rec.add("queries", static_cast<long long>(trickle_queries));
+            rec.add("latency_us_p50", run.p50_us);
+            rec.add("latency_us_p99", run.p99_us);
+            rec.add("mean_coalesced_batch", run.mean_batch);
+        }
+
         std::cout << "\n## Multi-client label-query throughput (784×10 victim, " << workers
                   << (workers == 1 ? " backend worker)\n\n" : " backend workers)\n\n")
                   << table << "\n## Throughput vs coalescing max_batch ("
@@ -687,7 +795,8 @@ int main(int argc, char** argv) {
                   << "/" << query_pool.rows() << " rows)\n\n"
                   << zipf_table << "\n## Hit-charging semantics (skew "
                   << Table::format_number(max_skew, 1) << ", budgeted sessions)\n\n"
-                  << charge_table;
+                  << charge_table << "\n## Idle path: one client trickling async scalar labels\n\n"
+                  << trickle_table;
 
         const std::string out_path = cli.str("out");
         if (!rec.write(out_path)) {

@@ -24,14 +24,18 @@
 // Submissions are asynchronous (futures) and **coalesced**: a flusher
 // thread gathers individually-submitted vectors from all sessions into
 // `query_*_batch` calls against the backend — the one-GEMM fast path the
-// kernel layer provides — flushing when `max_batch` rows are pending or
-// after `max_wait`. Coalescing preserves submission order and groups
-// only *consecutive* same-kind submissions into one backend batch, so a
-// coalesced stream is bit-identical to the same queries issued serially
-// (the backend's batched paths already guarantee batch = in-order
-// scalars; see crossbar.hpp). Per-session sensing noise is drawn from a
-// counter-based stream indexed by the session's own query ordinal, so it
-// too is independent of how submissions were packed into batches.
+// kernel layer provides. The flusher is work-conserving (Nagle's rule,
+// RFC 896): an idle replica flushes whatever is queued at once, and the
+// submissions that arrive while a backend call runs form the next batch
+// (up to `max_batch` rows). A lone query never waits for partners;
+// batches grow only under load. Coalescing preserves submission order
+// and groups only *consecutive* same-kind submissions into one backend
+// batch, so a coalesced stream is bit-identical to the same queries
+// issued serially (the backend's batched paths already guarantee
+// batch = in-order scalars; see crossbar.hpp). Per-session sensing
+// noise is drawn from a counter-based stream indexed by the session's
+// own query ordinal, so it too is independent of how submissions were
+// packed into batches.
 //
 // **Result cache.** An optional content-addressed cache sits in front of
 // the per-replica coalescers: a scalar submission whose (kind, replica,
@@ -67,7 +71,6 @@
 // k alone.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -211,31 +214,22 @@ struct ServiceConfig {
     /// this one nesting-safe pool for their backend GEMMs.
     ThreadPool* pool = nullptr;
 
-    /// Flush a replica's coalescing queue once this many input rows are
-    /// pending on it. Also the maximum rows per backend batch call —
-    /// larger submissions are split, in order, which the backend
-    /// reproduces bit-identically.
+    /// Maximum rows per backend batch call. The flusher is
+    /// work-conserving: an idle replica flushes at once, and the rows
+    /// that queue up behind a running backend call form the next batch,
+    /// merged up to this cap. A single explicitly-submitted batch larger
+    /// than the cap still goes through whole (explicit batches are never
+    /// split).
     ///
     /// Note that `max_batch` is a *cap*, not a target: a flush can never
-    /// carry more rows than the clients had in flight when the window
-    /// closed, so the realised mean batch saturates at roughly
+    /// carry more rows than the clients queued during the previous
+    /// backend call, so the realised mean batch saturates at roughly
     /// (clients × per-client pipeline depth) regardless of how high
-    /// max_batch is raised — and `max_wait` closes the window early
-    /// whenever the in-flight supply drains before max_batch fills.
-    /// BENCH_service.json's `depth@*` series isolates exactly this
-    /// interaction (the historical "max_batch@1024 plateaus near 437
-    /// rows" anomaly: 8 clients × 64-deep pipelines can never have 1024
-    /// rows pending).
+    /// max_batch is raised. BENCH_service.json's `depth@*` series
+    /// isolates exactly this interaction (the historical "max_batch@1024
+    /// plateaus near 437 rows" anomaly: 8 clients × 64-deep pipelines
+    /// can never have 1024 rows pending).
     std::size_t max_batch = 256;
-
-    /// Flush latency bound: pending work never waits longer than this
-    /// for more submissions to coalesce with. See the max_batch note —
-    /// under a finite client pipeline this window, not max_batch, is
-    /// what usually closes a batch. Zero means *flush immediately*:
-    /// the flusher skips the coalescing window outright (no zero-length
-    /// timed wait spinning the flusher hot) and batches only what was
-    /// already pending when it woke.
-    std::chrono::microseconds max_wait{200};
 
     /// Replica-selection policy (single-replica services ignore it).
     RoutingPolicy routing = RoutingPolicy::SessionAffine;
@@ -348,10 +342,10 @@ public:
     std::future<tensor::Matrix> submit_raw_batch(tensor::Matrix U);
     std::future<tensor::Vector> submit_power_batch(tensor::Matrix U);
 
-    /// Synchronous Oracle view of this session: query_* submits with an
-    /// immediate-flush hint and waits. Existing attack and side-channel
-    /// entry points (collect_queries, probe_columns, evaluate_*) take
-    /// Oracle& and therefore run unchanged through a session. counters()
+    /// Synchronous Oracle view of this session: query_* submits and
+    /// waits. Existing attack and side-channel entry points
+    /// (collect_queries, probe_columns, evaluate_*) take Oracle& and
+    /// therefore run unchanged through a session. counters()
     /// / reset_counters() act on the *session* counters.
     Oracle& oracle();
 

@@ -198,8 +198,6 @@ struct ReplicaState {
     /// Producers append; the flusher swaps the whole vector against a
     /// recycled empty one, so steady-state submission never allocates.
     std::vector<Unit> queue;
-    std::size_t pending_rows = 0;
-    bool flush_now = false;
     bool stopping = false;
 
     /// Rows enqueued but not yet answered — the lock-free load signal
@@ -469,15 +467,13 @@ void charge(SessionState& s, QueryKind kind, std::uint64_t rows, bool charge_bud
     }
 }
 
-/// Enqueues an admitted unit on `replica` and wakes its flusher.
-/// `flush_hint` asks for an immediate flush (a synchronous caller is
-/// already waiting). Per-replica counters are bumped only after the push
+/// Enqueues an admitted unit on `replica` and wakes its flusher if it
+/// is idle. Per-replica counters are bumped only after the push
 /// succeeded, so a SessionClosed thrown here leaves them untouched.
 template <typename Promise>
 auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica, QueryKind kind,
-             bool scalar, tensor::Matrix inputs, bool flush_hint, std::uint64_t cache_hash,
-             bool cache_store, bool escalate) {
-    const ServiceConfig& config = session->service->config;
+             bool scalar, tensor::Matrix inputs, std::uint64_t cache_hash, bool cache_store,
+             bool escalate) {
     Unit unit;
     unit.session = session;
     unit.kind = kind;
@@ -514,25 +510,19 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
             replica.inflight_rows.fetch_sub(rows, std::memory_order_relaxed);
             throw SessionClosed("the service is shut down");
         }
-        // Wake the flusher only on state transitions it is actually
-        // waiting for — the first pending unit (it may be in its
-        // indefinite wait) or a newly-met flush condition. Waking on
-        // every submission would context-switch once per query under
-        // pipelined load.
+        // The flusher sleeps only on an empty queue, so only the
+        // empty → non-empty transition needs a wake. A unit queued behind
+        // a running backend call is picked up when that call returns;
+        // waking per submission would context-switch once per query.
         wake = replica.queue.empty();
         replica.queue.push_back(std::move(unit));
-        replica.pending_rows += rows;
-        if ((flush_hint || replica.pending_rows >= config.max_batch) && !replica.flush_now) {
-            replica.flush_now = true;
-            wake = true;
-        }
     }
     if (kind == QueryKind::Power) {
         replica.power_count.fetch_add(rows, std::memory_order_relaxed);
     } else {
         replica.inference_count.fetch_add(rows, std::memory_order_relaxed);
     }
-    if (wake) replica.cv.notify_all();
+    if (wake) replica.cv.notify_one();  // the flusher is the cv's only waiter
     return future;
 }
 
@@ -563,7 +553,7 @@ void unadmit(SessionState& s, QueryKind kind, std::uint64_t rows) {
 /// Per-replica counters never see a hit: nothing was routed.
 template <typename Promise>
 auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool scalar,
-            tensor::Matrix inputs, bool flush_hint) {
+            tensor::Matrix inputs) {
     if (session == nullptr || !session->open.load(std::memory_order_acquire)) {
         throw SessionClosed("submit on a closed session");
     }
@@ -649,8 +639,8 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
         charge(s, kind, rows, true);
         try {
             if (replica == nullptr) replica = &route(svc, s);
-            return enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs), flush_hint,
-                                    cache_hash, cacheable, escalate);
+            return enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs), cache_hash,
+                                    cacheable, escalate);
         } catch (...) {
             unadmit(s, kind, rows);
             throw;
@@ -852,39 +842,23 @@ void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& unit
     }
 }
 
+/// Work-conserving coalescer (Nagle's rule, RFC 896): an idle flusher
+/// takes whatever is queued at once, and rows that arrive while a backend
+/// call runs form the next batch. Batches therefore grow only with load,
+/// and an idle replica adds no wait to a lone query.
 void flusher_loop(const std::shared_ptr<ServiceState>& svc, ReplicaState& replica) {
-    const ServiceConfig& config = svc->config;
+    const std::size_t max_batch = svc->config.max_batch;
     std::unique_lock lock(replica.mutex);
-    bool saturated = false;    ///< new work arrived while the last flush ran
-    std::vector<Unit> batch;   ///< recycled: swaps capacity with the queue
-    tensor::Matrix storage;    ///< recycled gather scratch (per replica, never shared)
+    std::vector<Unit> batch;  ///< recycled: swaps capacity with the queue
+    tensor::Matrix storage;   ///< recycled gather scratch (per replica, never shared)
     for (;;) {
         replica.cv.wait(lock, [&] { return replica.stopping || !replica.queue.empty(); });
         if (replica.queue.empty()) return;  // stopping, fully drained
-        if (!saturated && !replica.stopping && !replica.flush_now &&
-            config.max_wait.count() > 0 && replica.pending_rows < config.max_batch) {
-            // Coalescing window: give concurrent submitters max_wait to
-            // pile more rows on before paying for a backend call.
-            // max_wait == 0 means flush-immediately and skips the window
-            // outright — a zero-length timed wait would have the flusher
-            // spinning through wakeups instead of batching what's there.
-            replica.cv.wait_for(lock, config.max_wait, [&] {
-                return replica.stopping || replica.flush_now ||
-                       replica.pending_rows >= config.max_batch;
-            });
-        }
-        replica.flush_now = false;
         batch.swap(replica.queue);  // the queue inherits batch's old capacity
-        replica.pending_rows = 0;
         lock.unlock();  // backend calls run without the queue lock
-        flush(replica, config.max_batch, batch, storage);
+        flush(replica, max_batch, batch, storage);
         batch.clear();  // destroy units (promises already fulfilled)
         lock.lock();
-        // Under streaming load the next batch formed while this one was
-        // in the backend — flush it straight away instead of opening a
-        // fresh latency window (the window exists to coalesce trickles,
-        // not to throttle a saturated queue).
-        saturated = !replica.queue.empty();
     }
 }
 
@@ -897,9 +871,8 @@ namespace {
 
 using detail::QueryKind;
 
-/// Synchronous Oracle adapter over a session: every query submits with a
-/// flush hint (the caller is about to block on the result) and waits.
-/// This is what lets collect_queries, probe_columns, the attack
+/// Synchronous Oracle adapter over a session: every query submits and
+/// waits. This is what lets collect_queries, probe_columns, the attack
 /// evaluators, and the figure sweeps run unchanged through a session.
 class SessionOracleView : public Oracle {
 public:
@@ -910,31 +883,29 @@ public:
     std::size_t outputs() const override { return state_->service->outputs; }
 
     int query_label(const tensor::Vector& u) override {
-        return detail::submit<std::promise<int>>(state_, QueryKind::Label, true, tensor::Matrix::from_row(u), true)
+        return detail::submit<std::promise<int>>(state_, QueryKind::Label, true,
+                                                 tensor::Matrix::from_row(u))
             .get();
     }
     tensor::Vector query_raw(const tensor::Vector& u) override {
         return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true,
-                                                            tensor::Matrix::from_row(u), true)
+                                                            tensor::Matrix::from_row(u))
             .get();
     }
     double query_power(const tensor::Vector& u) override {
-        return detail::submit<std::promise<double>>(state_, QueryKind::Power, true, tensor::Matrix::from_row(u),
-                                                    true)
+        return detail::submit<std::promise<double>>(state_, QueryKind::Power, true,
+                                                    tensor::Matrix::from_row(u))
             .get();
     }
     std::vector<int> query_labels(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false, U,
-                                                              true)
+        return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false, U)
             .get();
     }
     tensor::Matrix query_raw_batch(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false, U, true)
-            .get();
+        return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false, U).get();
     }
     tensor::Vector query_power_batch(const tensor::Matrix& U) override {
-        return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false, U,
-                                                            true)
+        return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false, U)
             .get();
     }
 
@@ -989,32 +960,33 @@ Session& Session::operator=(Session&& other) noexcept {
 }
 
 std::future<int> Session::submit_label(tensor::Vector u) {
-    return detail::submit<std::promise<int>>(state_, QueryKind::Label, true, tensor::Matrix::from_row(std::move(u)), false);
+    return detail::submit<std::promise<int>>(state_, QueryKind::Label, true,
+                                             tensor::Matrix::from_row(std::move(u)));
 }
 
 std::future<tensor::Vector> Session::submit_raw(tensor::Vector u) {
-    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true, tensor::Matrix::from_row(std::move(u)),
-                                                        false);
+    return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Raw, true,
+                                                        tensor::Matrix::from_row(std::move(u)));
 }
 
 std::future<double> Session::submit_power(tensor::Vector u) {
-    return detail::submit<std::promise<double>>(state_, QueryKind::Power, true, tensor::Matrix::from_row(std::move(u)),
-                                                false);
+    return detail::submit<std::promise<double>>(state_, QueryKind::Power, true,
+                                                tensor::Matrix::from_row(std::move(u)));
 }
 
 std::future<std::vector<int>> Session::submit_labels(tensor::Matrix U) {
     return detail::submit<std::promise<std::vector<int>>>(state_, QueryKind::Label, false,
-                                                          std::move(U), false);
+                                                          std::move(U));
 }
 
 std::future<tensor::Matrix> Session::submit_raw_batch(tensor::Matrix U) {
     return detail::submit<std::promise<tensor::Matrix>>(state_, QueryKind::Raw, false,
-                                                        std::move(U), false);
+                                                        std::move(U));
 }
 
 std::future<tensor::Vector> Session::submit_power_batch(tensor::Matrix U) {
     return detail::submit<std::promise<tensor::Vector>>(state_, QueryKind::Power, false,
-                                                        std::move(U), false);
+                                                        std::move(U));
 }
 
 Oracle& Session::oracle() {
@@ -1075,15 +1047,8 @@ void Session::close() {
         // windows survive — that is the point of the attribution layer.
         state_->service->attrib->engine.note_session_close(state_->id);
     }
-    // In-flight submissions complete normally; nudge every flusher so
-    // their futures resolve promptly.
-    for (auto& replica : state_->service->replicas) {
-        {
-            std::lock_guard lock(replica->mutex);
-            replica->flush_now = true;
-        }
-        replica->cv.notify_all();
-    }
+    // In-flight submissions complete normally: the flushers never hold
+    // queued work back.
 }
 
 // ---- OracleService ----------------------------------------------------------
@@ -1094,13 +1059,9 @@ OracleService::OracleService(Oracle& backend, ServiceConfig config)
 OracleService::OracleService(const std::vector<Oracle*>& replicas, ServiceConfig config)
     : state_(std::make_shared<detail::ServiceState>()) {
     // Misconfiguration throws ConfigError at construction — a max_batch
-    // of 0 would deadlock every flush (no group ever fits) and a
-    // negative max_wait has no meaning as a coalescing window.
+    // of 0 would deadlock every flush (no group ever fits).
     if (config.max_batch == 0) {
         throw ConfigError("ServiceConfig::max_batch must be > 0 (0 rows can never flush)");
-    }
-    if (config.max_wait.count() < 0) {
-        throw ConfigError("ServiceConfig::max_wait must be >= 0 (0 = flush immediately)");
     }
     if (replicas.empty()) throw ConfigError("OracleService needs at least one backend replica");
     for (Oracle* backend : replicas) {

@@ -12,6 +12,7 @@
 #include <future>
 #include <vector>
 
+#include "service_test_oracles.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/sidechannel/detector.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -254,13 +255,20 @@ TEST(RateLimitedSession, CoalescedMatchesSerialBitIdentical) {
     }
     std::vector<double> coalesced;
     {
-        ServiceConfig config;
-        config.max_wait = std::chrono::microseconds(50000);
-        OracleService service(backend_coalesced, config);
+        // Rows 1.. queue behind the held row 0 and merge into one batch.
+        GatedOracle gated(backend_coalesced);
+        OracleService service(gated);
         Session session = service.open_session(limited);
         std::vector<std::future<double>> pending;
-        for (std::size_t r = 0; r < U.rows(); ++r) pending.push_back(session.submit_power(U.row(r)));
+        gated.hold();
+        pending.push_back(session.submit_power(U.row(0)));
+        ASSERT_TRUE(gated.wait_until_held());
+        for (std::size_t r = 1; r < U.rows(); ++r) {
+            pending.push_back(session.submit_power(U.row(r)));
+        }
+        gated.release();
         for (auto& f : pending) coalesced.push_back(f.get());
+        EXPECT_EQ(service.flushed_batches(), 2u);
     }
     ASSERT_EQ(serial.size(), coalesced.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

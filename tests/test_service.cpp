@@ -8,7 +8,11 @@
 
 #include <cmath>
 #include <future>
+#include <numeric>
+#include <thread>
+#include <vector>
 
+#include "service_test_oracles.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/tensor/ops.hpp"
 
@@ -33,14 +37,6 @@ CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options 
 xbar::NonIdealityConfig noisy_device() {
     xbar::NonIdealityConfig c;
     c.read_noise_std = 0.05;
-    return c;
-}
-
-/// A long coalescing window, so a burst of async submissions from one
-/// thread reliably lands in few backend batches.
-ServiceConfig coalescing_config() {
-    ServiceConfig c;
-    c.max_wait = std::chrono::microseconds(50000);
     return c;
 }
 
@@ -95,20 +91,26 @@ TEST(Service, CoalescedLabelsBitIdenticalToSerialOnNoisyHardware) {
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle serial = make_oracle(net, {}, noisy_device());
     CrossbarOracle backend = make_oracle(net, {}, noisy_device());
-    OracleService service(backend, coalescing_config());
+    GatedOracle gated(backend);
+    OracleService service(gated);
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 64, net.inputs());
 
+    // Row 0 flushes alone and is held inside the backend; the other 63
+    // queue behind it and form the next batch.
     std::vector<std::future<int>> pending;
     pending.reserve(U.rows());
-    for (std::size_t r = 0; r < U.rows(); ++r) pending.push_back(session.submit_label(U.row(r)));
+    gated.hold();
+    pending.push_back(session.submit_label(U.row(0)));
+    ASSERT_TRUE(gated.wait_until_held());
+    for (std::size_t r = 1; r < U.rows(); ++r) pending.push_back(session.submit_label(U.row(r)));
+    gated.release();
     for (std::size_t r = 0; r < U.rows(); ++r) {
         EXPECT_EQ(pending[r].get(), serial.query_label(U.row(r))) << "row " << r;
     }
-    // The burst really was coalesced (one pipelined submitter, 50 ms
-    // window): far fewer backend batches than submissions.
     EXPECT_EQ(service.flushed_rows(), U.rows());
-    EXPECT_LT(service.flushed_batches(), U.rows() / 2);
+    EXPECT_EQ(service.flushed_batches(), 2u);
+    EXPECT_EQ(gated.batch_rows(), (std::vector<std::size_t>{1, 63}));
 }
 
 TEST(Service, CoalescedRawAndPowerBitIdenticalToSerialOnNoisyHardware) {
@@ -116,15 +118,21 @@ TEST(Service, CoalescedRawAndPowerBitIdenticalToSerialOnNoisyHardware) {
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle serial = make_oracle(net, {}, noisy_device());
     CrossbarOracle backend = make_oracle(net, {}, noisy_device());
-    OracleService service(backend, coalescing_config());
+    GatedOracle gated(backend);
+    OracleService service(gated);
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 32, net.inputs());
 
-    // All raws first, then all powers — same order serially.
+    // All raws first, then all powers — same order serially. Behind the
+    // held first raw, each kind's run merges into one batch.
     std::vector<std::future<tensor::Vector>> raws;
-    for (std::size_t r = 0; r < U.rows(); ++r) raws.push_back(session.submit_raw(U.row(r)));
+    gated.hold();
+    raws.push_back(session.submit_raw(U.row(0)));
+    ASSERT_TRUE(gated.wait_until_held());
+    for (std::size_t r = 1; r < U.rows(); ++r) raws.push_back(session.submit_raw(U.row(r)));
     std::vector<std::future<double>> powers;
     for (std::size_t r = 0; r < U.rows(); ++r) powers.push_back(session.submit_power(U.row(r)));
+    gated.release();
 
     for (std::size_t r = 0; r < U.rows(); ++r) {
         const tensor::Vector got = raws[r].get();
@@ -136,6 +144,7 @@ TEST(Service, CoalescedRawAndPowerBitIdenticalToSerialOnNoisyHardware) {
     for (std::size_t r = 0; r < U.rows(); ++r) {
         EXPECT_DOUBLE_EQ(powers[r].get(), serial.query_power(U.row(r))) << "row " << r;
     }
+    EXPECT_EQ(gated.batch_rows(), (std::vector<std::size_t>{1, 31, 32}));
 }
 
 TEST(Service, InterleavedKindsPreserveSerialMeasurementOrder) {
@@ -146,18 +155,26 @@ TEST(Service, InterleavedKindsPreserveSerialMeasurementOrder) {
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle serial = make_oracle(net, {}, noisy_device());
     CrossbarOracle backend = make_oracle(net, {}, noisy_device());
-    OracleService service(backend, coalescing_config());
+    GatedOracle gated(backend);
+    OracleService service(gated);
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 18, net.inputs());
 
+    // Everything after the held first label queues up together, yet no
+    // two neighbours share a kind: every unit is its own backend call.
     std::vector<std::future<int>> labels;
     std::vector<std::future<double>> powers;
     std::vector<std::future<tensor::Vector>> raws;
+    gated.hold();
     for (std::size_t r = 0; r < U.rows(); r += 3) {
         labels.push_back(session.submit_label(U.row(r)));
+        if (r == 0) {
+            ASSERT_TRUE(gated.wait_until_held());
+        }
         powers.push_back(session.submit_power(U.row(r + 1)));
         raws.push_back(session.submit_raw(U.row(r + 2)));
     }
+    gated.release();
     std::size_t i = 0;
     for (std::size_t r = 0; r < U.rows(); r += 3, ++i) {
         EXPECT_EQ(labels[i].get(), serial.query_label(U.row(r)));
@@ -166,6 +183,7 @@ TEST(Service, InterleavedKindsPreserveSerialMeasurementOrder) {
         const tensor::Vector want = serial.query_raw(U.row(r + 2));
         for (std::size_t c = 0; c < want.size(); ++c) EXPECT_DOUBLE_EQ(got[c], want[c]);
     }
+    EXPECT_EQ(service.flushed_batches(), U.rows());
 }
 
 TEST(Service, ExplicitBatchSubmissionsAreNeverSplit) {
@@ -346,17 +364,50 @@ TEST(Service, ClosedSessionRejectsNewSubmissions) {
 TEST(Service, DestructionDrainsPendingSubmissions) {
     Rng rng(13);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle backend = make_oracle(net);
-    std::future<std::vector<int>> pending;
+    CrossbarOracle inner = make_oracle(net);
+    GatedOracle backend(inner);
+    const tensor::Vector u(net.inputs(), 0.5);
     tensor::Matrix U = tensor::Matrix::random_uniform(rng, 12, net.inputs());
+    std::future<int> first;
+    std::future<std::vector<int>> pending;
+    Session probe;
+    std::vector<std::future<int>> probes;
+    std::thread releaser;
     {
-        OracleService service(backend, coalescing_config());
+        OracleService service(backend);
         Session session = service.open_session();
-        pending = session.submit_labels(U);
-        // The service destructor must flush the queue before joining.
+        probe = service.open_session();
+        backend.hold();
+        first = session.submit_label(u);
+        ASSERT_TRUE(backend.wait_until_held());
+        pending = session.submit_labels(U);  // queued behind the held call
+        // Open the gate only once shutdown is visible (a submission is
+        // refused), so U is still queued when the destructor stops the
+        // replica: the flusher must drain it before it returns.
+        releaser = std::thread([&] {
+            for (;;) {
+                try {
+                    probes.push_back(probe.submit_label(u));
+                } catch (const SessionClosed&) {
+                    break;
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+            backend.release();
+        });
     }
+    releaser.join();
+    // An undrained unit would leave its future pending for good.
+    ASSERT_EQ(pending.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    (void)first.get();
     EXPECT_EQ(pending.get().size(), 12u);
-    EXPECT_EQ(backend.counters().inference, 12u);
+    for (auto& f : probes) (void)f.get();  // queued before the stop: drained too
+    const std::vector<std::size_t> rows = backend.batch_rows();
+    ASSERT_GE(rows.size(), 2u);
+    EXPECT_EQ(rows.front(), 1u);
+    EXPECT_EQ(std::accumulate(rows.begin() + 1, rows.end(), std::size_t{0}),
+              12u + probes.size());
+    EXPECT_EQ(inner.counters().inference, 13u + probes.size());
 }
 
 TEST(Service, MoveAssignClosesDisplacedSessionAndRebindsOracleView) {
@@ -414,31 +465,25 @@ TEST(Service, ConfigValidationThrowsConfigErrorAtConstruction) {
     }
     {
         ServiceConfig config;
-        config.max_wait = std::chrono::microseconds(-1);
-        EXPECT_THROW(OracleService(backend, config), ConfigError);
-    }
-    {
-        ServiceConfig config;
         config.cache.enabled = true;
         config.cache.capacity = 0;
         EXPECT_THROW(OracleService(backend, config), ConfigError);
     }
 }
 
-TEST(Service, ZeroMaxWaitFlushesImmediately) {
-    // max_wait{0} is explicit flush-immediately semantics: every pending
-    // group flushes without a coalescing window (and the flusher must
-    // not spin hot while idle — the submissions below would hang or
-    // starve if zero-wait were treated as a 0 us timed wait loop).
+TEST(Service, IdleReplicaFlushesImmediately) {
+    // The default service is work-conserving: an idle replica flushes a
+    // lone submission at once instead of waiting for partners (and the
+    // flusher must not spin hot while idle — the submissions below would
+    // hang or starve if it did).
     Rng rng(17);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(0);
-    OracleService service(backend, config);
+    OracleService service(backend);
     Session session = service.open_session();
     const tensor::Vector u(net.inputs(), 0.5);
     for (int i = 0; i < 32; ++i) EXPECT_EQ(session.submit_label(u).get(), backend.query_label(u));
+    EXPECT_EQ(service.flushed_batches(), 32u);
 }
 
 TEST(Service, ReplicaTelemetryAccessorsBoundsCheck) {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <thread>
 
@@ -38,7 +37,6 @@ CrossbarOracle make_oracle(const nn::SingleLayerNet& net, OracleOptions options 
 ServiceConfig cached_config(std::size_t capacity = 64, bool partition = false,
                             bool hits_charge = true) {
     ServiceConfig c;
-    c.max_wait = std::chrono::microseconds(50000);
     c.cache.enabled = true;
     c.cache.capacity = capacity;
     c.cache.partition_by_session = partition;

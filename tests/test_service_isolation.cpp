@@ -6,6 +6,7 @@
 
 #include <future>
 
+#include "service_test_oracles.hpp"
 #include "xbarsec/core/queries.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -113,7 +114,8 @@ TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
     // when the coalescer merges tenants' submissions into one backend
     // batch and the shared defense refuses it, the group falls back to
     // per-unit calls — innocent tenants' queries still get answers, as
-    // they would under serial issue.
+    // they would under serial issue. A held first query makes the three
+    // submissions behind it merge.
     Rng rng(6);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);
@@ -121,10 +123,8 @@ TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
     const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
                                                          enrollment);
     DetectorOracle guard(backend, detector, /*block_flagged=*/true);
-
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(50000);  // let the burst merge
-    OracleService service(guard, config);
+    GatedOracle gated(guard);
+    OracleService service(gated);
     Session a = service.open_session();
     Session b = service.open_session();
 
@@ -132,15 +132,23 @@ TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
     attack[3] = 50.0;
     const tensor::Vector clean(net.inputs(), 0.2);
 
+    gated.hold();
+    auto first = a.submit_label(clean);
+    ASSERT_TRUE(gated.wait_until_held());
     auto before = a.submit_label(clean);
     auto refused = b.submit_label(attack);
     auto after = a.submit_label(clean);
+    gated.release();
 
+    EXPECT_NO_THROW((void)first.get());
     EXPECT_NO_THROW((void)before.get());
     EXPECT_THROW((void)refused.get(), QueryRefused);
     EXPECT_NO_THROW((void)after.get());
+    // The held query, then the merged group of three (refused whole by
+    // the shared guard), then its per-unit fallback.
+    EXPECT_EQ(gated.batch_rows(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
     // Only the clean queries reached the backend.
-    EXPECT_EQ(backend.counters().inference, 2u);
+    EXPECT_EQ(backend.counters().inference, 3u);
 }
 
 TEST(SessionIsolation, NoiseStreamsAreSessionPrivateAndInterleavingInvariant) {

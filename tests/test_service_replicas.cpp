@@ -14,6 +14,7 @@
 #include <future>
 #include <thread>
 
+#include "service_test_oracles.hpp"
 #include "xbarsec/core/scenario.hpp"
 #include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
@@ -47,43 +48,11 @@ xbar::NonIdealityConfig replica_device(std::size_t replica) {
     return c;
 }
 
-ServiceConfig coalescing_config(RoutingPolicy routing = RoutingPolicy::SessionAffine) {
+ServiceConfig routed(RoutingPolicy routing) {
     ServiceConfig c;
-    c.max_wait = std::chrono::microseconds(50000);
     c.routing = routing;
     return c;
 }
-
-/// A forwarding Oracle that sleeps on every batched call — the
-/// deliberately slowed replica for the least-loaded routing test.
-class SlowOracle : public Oracle {
-public:
-    SlowOracle(Oracle& inner, std::chrono::microseconds delay) : inner_(inner), delay_(delay) {}
-
-    std::size_t inputs() const override { return inner_.inputs(); }
-    std::size_t outputs() const override { return inner_.outputs(); }
-    int query_label(const tensor::Vector& u) override { return inner_.query_label(u); }
-    tensor::Vector query_raw(const tensor::Vector& u) override { return inner_.query_raw(u); }
-    double query_power(const tensor::Vector& u) override { return inner_.query_power(u); }
-    std::vector<int> query_labels(const tensor::Matrix& U) override {
-        std::this_thread::sleep_for(delay_);
-        return inner_.query_labels(U);
-    }
-    tensor::Matrix query_raw_batch(const tensor::Matrix& U) override {
-        std::this_thread::sleep_for(delay_);
-        return inner_.query_raw_batch(U);
-    }
-    tensor::Vector query_power_batch(const tensor::Matrix& U) override {
-        std::this_thread::sleep_for(delay_);
-        return inner_.query_power_batch(U);
-    }
-    QueryCounters counters() const override { return inner_.counters(); }
-    void reset_counters() override { inner_.reset_counters(); }
-
-private:
-    Oracle& inner_;
-    std::chrono::microseconds delay_;
-};
 
 // ---- construction & validation ----------------------------------------------
 
@@ -92,8 +61,8 @@ TEST(ServiceReplicas, SingleEntryFleetMatchesSingleBackendService) {
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle legacy_backend = make_oracle(net, replica_device(0));
     CrossbarOracle fleet_backend = make_oracle(net, replica_device(0));
-    OracleService legacy(legacy_backend, coalescing_config());
-    OracleService fleet(std::vector<Oracle*>{&fleet_backend}, coalescing_config());
+    OracleService legacy(legacy_backend);
+    OracleService fleet(std::vector<Oracle*>{&fleet_backend});
     EXPECT_EQ(fleet.replica_count(), 1u);
 
     Session a = legacy.open_session();
@@ -182,7 +151,9 @@ TEST(ServiceReplicas, CoalescedStreamsBitIdenticalToSerialPerReplica) {
     CrossbarOracle replica1 = make_oracle(net, replica_device(1));
     CrossbarOracle reference0 = make_oracle(net, replica_device(0));
     CrossbarOracle reference1 = make_oracle(net, replica_device(1));
-    OracleService service(std::vector<Oracle*>{&replica0, &replica1}, coalescing_config());
+    GatedOracle gated0(replica0);
+    GatedOracle gated1(replica1);
+    OracleService service(std::vector<Oracle*>{&gated0, &gated1});
 
     Session s0 = service.open_session();  // id 1 -> home replica 0
     Session s1 = service.open_session();  // id 2 -> home replica 1
@@ -192,13 +163,18 @@ TEST(ServiceReplicas, CoalescedStreamsBitIdenticalToSerialPerReplica) {
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 16, net.inputs());
     const struct {
         Session* session;
+        GatedOracle* gate;
         CrossbarOracle* reference;
-    } lanes[] = {{&s0, &reference0}, {&s1, &reference1}};
+    } lanes[] = {{&s0, &gated0, &reference0}, {&s1, &gated1, &reference1}};
     for (const auto& lane : lanes) {
-        // Pipelined scalar submissions: the replica's flusher coalesces
-        // consecutive same-kind units into batched backend calls.
+        // Pipelined scalar submissions queued behind a held first label:
+        // the replica's flusher coalesces each same-kind run into one
+        // batched backend call.
         std::vector<std::future<int>> labels;
-        for (std::size_t r = 0; r < U.rows(); ++r) {
+        lane.gate->hold();
+        labels.push_back(lane.session->submit_label(U.row(0)));
+        ASSERT_TRUE(lane.gate->wait_until_held());
+        for (std::size_t r = 1; r < U.rows(); ++r) {
             labels.push_back(lane.session->submit_label(U.row(r)));
         }
         std::vector<std::future<tensor::Vector>> raws;
@@ -209,6 +185,7 @@ TEST(ServiceReplicas, CoalescedStreamsBitIdenticalToSerialPerReplica) {
         for (std::size_t r = 0; r < U.rows(); ++r) {
             powers.push_back(lane.session->submit_power(U.row(r)));
         }
+        lane.gate->release();
         for (std::size_t r = 0; r < U.rows(); ++r) {
             EXPECT_EQ(labels[r].get(), lane.reference->query_label(U.row(r)));
         }
@@ -220,6 +197,7 @@ TEST(ServiceReplicas, CoalescedStreamsBitIdenticalToSerialPerReplica) {
         for (std::size_t r = 0; r < U.rows(); ++r) {
             EXPECT_DOUBLE_EQ(powers[r].get(), lane.reference->query_power(U.row(r)));
         }
+        EXPECT_EQ(lane.gate->batch_rows(), (std::vector<std::size_t>{1, 15, 16, 16}));
     }
     EXPECT_EQ(service.replica_counters(0).total(), 3 * U.rows());
     EXPECT_EQ(service.replica_counters(1).total(), 3 * U.rows());
@@ -237,7 +215,7 @@ TEST(ServiceReplicas, RoundRobinAssignmentIsDeterministicAndBitIdentical) {
     CrossbarOracle reference0 = make_oracle(net, replica_device(0));
     CrossbarOracle reference1 = make_oracle(net, replica_device(1));
     OracleService service(std::vector<Oracle*>{&replica0, &replica1},
-                          coalescing_config(RoutingPolicy::RoundRobin));
+                          routed(RoutingPolicy::RoundRobin));
     Session session = service.open_session();
     Oracle& view = session.oracle();
     CrossbarOracle* references[] = {&reference0, &reference1};
@@ -259,9 +237,8 @@ TEST(ServiceReplicas, RoundRobinSpreadsRowsFairly) {
     CrossbarOracle r1 = make_oracle(net);
     CrossbarOracle r2 = make_oracle(net);
     CrossbarOracle r3 = make_oracle(net);
-    ServiceConfig config = coalescing_config(RoutingPolicy::RoundRobin);
-    config.max_wait = std::chrono::microseconds(100);
-    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2, &r3}, config);
+    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2, &r3},
+                          routed(RoutingPolicy::RoundRobin));
     Session session = service.open_session();
 
     constexpr std::size_t kQueries = 128;  // a multiple of the fleet size
@@ -289,17 +266,13 @@ TEST(ServiceReplicas, LeastLoadedAvoidsSlowedReplica) {
     CrossbarOracle fast = make_oracle(net);
     CrossbarOracle slow_inner = make_oracle(net);
     SlowOracle slow(slow_inner, std::chrono::milliseconds(20));
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(100);
-    config.routing = RoutingPolicy::LeastLoaded;
-    OracleService service(std::vector<Oracle*>{&fast, &slow}, config);
+    OracleService service(std::vector<Oracle*>{&fast, &slow}, routed(RoutingPolicy::LeastLoaded));
     Session session = service.open_session();
 
     // Phase 1: a rapid burst with both replicas idle. Routing sees only
-    // enqueued-not-yet-answered rows, so the burst alternates roughly
-    // evenly — and parks a coalesced batch on the slowed replica, which
-    // then sleeps inside its flush while the fast replica drains in
-    // microseconds.
+    // enqueued-not-yet-answered rows, so the burst spreads over both
+    // replicas — and parks rows on the slowed replica, which sleeps
+    // inside its flush while the fast replica drains in microseconds.
     constexpr std::size_t kBurst = 32;
     const tensor::Vector u(net.inputs(), 0.5);
     std::vector<std::future<int>> pending;
@@ -348,14 +321,12 @@ TEST(ServiceReplicas, LeastLoadedSteeringHoldsUnderConcurrentFlushes) {
     CrossbarOracle fast = make_oracle(net);
     CrossbarOracle slow_inner = make_oracle(net);
     SlowOracle slow(slow_inner, std::chrono::milliseconds(10));
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(100);
+    ServiceConfig config = routed(RoutingPolicy::LeastLoaded);
     config.max_batch = 8;  // small batches: many queue→flusher migrations
-    config.routing = RoutingPolicy::LeastLoaded;
     OracleService service(std::vector<Oracle*>{&fast, &slow}, config);
 
     // Park a backlog on the slow replica first (same two-phase setup as
-    // above: an even burst, then wait until only the slow side holds
+    // above: a burst, then wait until only the slow side holds
     // unanswered rows).
     Session primer = service.open_session();
     const tensor::Vector u(net.inputs(), 0.5);
@@ -412,9 +383,7 @@ TEST(ServiceReplicas, SessionAffinityStaysOnHomeReplicaAcrossFlushes) {
     CrossbarOracle r1 = make_oracle(net);
     CrossbarOracle r2 = make_oracle(net);
     CrossbarOracle r3 = make_oracle(net);
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(100);
-    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2, &r3}, config);
+    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2, &r3});
 
     // Session homes are assigned round-robin from the session id.
     Session first = service.open_session();
@@ -449,10 +418,7 @@ TEST(ServiceReplicas, ReplicaCountersSumToFleetAggregateAndStayMonotone) {
     CrossbarOracle r0 = make_oracle(net);
     CrossbarOracle r1 = make_oracle(net);
     CrossbarOracle r2 = make_oracle(net);
-    ServiceConfig config;
-    config.max_wait = std::chrono::microseconds(100);
-    config.routing = RoutingPolicy::RoundRobin;
-    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2}, config);
+    OracleService service(std::vector<Oracle*>{&r0, &r1, &r2}, routed(RoutingPolicy::RoundRobin));
 
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kPerThread = 64;

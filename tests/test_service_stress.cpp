@@ -109,7 +109,6 @@ TEST(ServiceStress, ConcurrentSessionsAccountExactly) {
     CrossbarOracle backend = make_oracle(net);
     ServiceConfig config;
     config.max_batch = 64;
-    config.max_wait = std::chrono::microseconds(100);
     OracleService service(backend, config);
 
     std::vector<Session> sessions;
@@ -212,7 +211,6 @@ TEST(ServiceStress, MixedKindsFromManySessionsOverNoisyHardware) {
     CrossbarOracle backend = make_oracle(net, noisy);
     ServiceConfig config;
     config.max_batch = 32;
-    config.max_wait = std::chrono::microseconds(100);
     OracleService service(backend, config);
 
     std::vector<Session> sessions;
