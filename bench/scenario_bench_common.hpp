@@ -1,7 +1,7 @@
-// Shared driver for the scenario-registry benches: every figure/table
-// bench is the same loop — select registry entries by prefix, apply CLI
-// overrides, run through core::ScenarioRunner, print and persist the
-// outcome. New workloads are registry entries, not new translation units.
+// Shared driver pieces for bench_scenarios: apply CLI overrides to
+// registry entries, run them through core::ScenarioRunner, print and
+// persist the outcomes. New workloads are registry entries, not new
+// translation units.
 #pragma once
 
 #include <cstdio>
@@ -123,44 +123,6 @@ inline int run_scenarios(const std::string& bench_name, const std::vector<std::s
     }
     std::cout << "\nResults written to " << out_path << "\n";
     return 0;
-}
-
-/// Runs every registry scenario whose name starts with `prefix`.
-inline int run_prefix(const char* summary, const std::string& prefix, int argc, char** argv,
-                      const char* shape_note) {
-    Cli cli(summary);
-    register_standard_flags(cli);
-    try {
-        if (!cli.parse(argc, argv)) return 0;
-
-        // The one pool of the whole bench: the runner threads it through
-        // every deployment's oracle, collect_queries, and the fig5
-        // run-level parallel_for (no per-scenario throwaway pools).
-        ThreadPool pool(static_cast<std::size_t>(cli.integer("threads")));
-        core::ScenarioRunner runner(&pool);
-        const std::vector<std::string> names = core::builtin_scenarios().names(prefix);
-        if (names.empty()) {
-            std::fprintf(stderr, "no scenarios registered under prefix '%s'\n", prefix.c_str());
-            return 1;
-        }
-
-        std::string bench_name = prefix;
-        while (!bench_name.empty() && bench_name.back() == '/') bench_name.pop_back();
-        for (char& c : bench_name) {
-            if (c == '/') c = '_';
-        }
-
-        WallTimer timer;
-        const int rc = run_scenarios(bench_name, names, cli, pool, runner);
-        if (rc != 0) return rc;
-        if (shape_note != nullptr) std::cout << "\n" << shape_note << "\n";
-        std::cout << "\nCSV outputs written to " << core::results_dir() << "/\n";
-        log::info(summary, " finished in ", timer.seconds(), " s");
-        return 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", summary, e.what());
-        return 1;
-    }
 }
 
 }  // namespace xbarsec::benchscenario

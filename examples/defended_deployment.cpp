@@ -1,16 +1,19 @@
-// Defensive scenario (library extension): the deployment stacks power
-// obfuscation decorators — supply-rail dithering, dummy loads, sensing
-// noise, a hard query budget — over the crossbar oracle, and we measure
-// how much side-channel quality the attacker loses through each stack.
+// Defensive scenario (library extension): the deployment stacks physical
+// power-obfuscation decorators — supply-rail dithering, dummy loads,
+// sensing noise — over the crossbar oracle and serves the stack through
+// an OracleService session, whose policy can add a hard query budget. We
+// measure how much side-channel quality the attacker loses each time.
 //
-// The attacker only ever sees `core::Oracle&`; swapping the defense is a
-// different decorator composition, not different attack code.
+// The attacker only ever sees `core::Oracle&` (the session's view);
+// swapping the defense is a different decorator composition or session
+// policy, not different attack code.
 #include <cstdio>
 #include <iostream>
 
 #include "xbarsec/common/table.hpp"
 #include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/queries.hpp"
+#include "xbarsec/core/service.hpp"
 #include "xbarsec/core/victim.hpp"
 #include "xbarsec/data/loaders.hpp"
 #include "xbarsec/tensor/ops.hpp"
@@ -31,11 +34,13 @@ int main() {
         const double scale = tensor::max(truth);
 
         // Each row probes the deployment through a different decorator
-        // stack built over the same backend.
+        // stack built over the same backend, served to one session whose
+        // policy carries the row's budget (default: unlimited).
         struct Row {
             const char* name;
             core::DecoratorStack stack;
             std::size_t repeats;
+            core::QueryBudget budget{};
         };
         std::vector<Row> rows;
         rows.push_back({"undefended", core::DecoratorStack(backend), 1});
@@ -75,9 +80,9 @@ int main() {
             rows.push_back({"random dummies", std::move(stack), 1});
         }
         {
-            // A full production stack: randomised dummies + sensing noise
-            // + a hard measurement budget (enough for exactly 32 probe
-            // repeats of every line).
+            // A full production deployment: randomised dummies + sensing
+            // noise in the stack, and a hard measurement budget on the
+            // session (enough for exactly 32 probe repeats of every line).
             core::ObfuscationConfig dummies;
             dummies.kind = core::ObfuscationConfig::Kind::RandomDummy;
             dummies.magnitude = scale;
@@ -87,17 +92,21 @@ int main() {
             core::DecoratorStack stack(backend);
             stack.push<core::ObfuscatedOracle>(dummies);
             stack.push<core::NoisyPowerOracle>(0.1 * scale, 4);
-            stack.push<core::QueryBudgetOracle>(budget);
-            rows.push_back({"random dummies + noise + budget (32 avg)", std::move(stack), 32});
+            rows.push_back(
+                {"random dummies + noise + budget (32 avg)", std::move(stack), 32, budget});
         }
 
         Table table({"Deployment", "L1 rel. error", "Top-16 ranking agreement", "Power queries"});
         for (Row& row : rows) {
             backend.reset_counters();
+            core::OracleService service(row.stack.top());
+            core::SessionConfig policy;
+            policy.budget = row.budget;
+            core::Session session = service.open_session(policy);
             sidechannel::ProbeOptions po;
             po.repeats = row.repeats;
             const tensor::Vector est =
-                core::probe_columns(row.stack.top(), po).conductance_sums;
+                core::probe_columns(session, po).conductance_sums;
             table.begin_row();
             table.add(row.name);
             table.add(sidechannel::relative_error(est, truth), 4);

@@ -23,7 +23,7 @@ struct Fig4Options {
     /// Evaluate on at most this many test samples (0 = all).
     std::size_t eval_limit = 0;
     /// Score attacks by querying the attacker-facing oracle (counted, and
-    /// subject to any decorator stack — detector screening, budgets)
+    /// subject to its session policy — detector screening, budgets)
     /// instead of the experimenter's direct hardware evaluation.
     bool evaluate_via_oracle = false;
 };

@@ -12,8 +12,9 @@
 //     through the crossbar's GEMM fast path);
 //   * `SoftwareOracle`  — a float SingleLayerNet backend modelling an
 //     ideal deployment (surrogate / FGSM baselines without crossbar cost);
-//   * decorator oracles (decorators.hpp) — obfuscation, noise, query
-//     budgets, and inline detection stack on top of any backend.
+//   * decorator oracles (decorators.hpp) — power obfuscation and
+//     sensing noise stack on top of any backend (per-client budgets and
+//     detection live in OracleService session admission, service.hpp).
 //
 // Every query kind has a batched variant (`query_labels`,
 // `query_raw_batch`, `query_power_batch`); backends route these through

@@ -1,12 +1,12 @@
 // Named experiment scenarios and the unified runner.
 //
 // A ScenarioSpec is pure data: dataset × victim × device non-idealities ×
-// oracle decorator stack × experiment. The ScenarioRegistry maps names to
-// specs (the built-in entries cover every figure/table of the paper plus
-// defended and noisy-device variants), and ScenarioRunner turns any spec
-// into a ScenarioOutcome — so a new workload is a registry entry, not a
-// new translation unit. The fig3/fig4/fig5/table1 benches and the generic
-// bench_scenarios driver all run through this path.
+// physical decorator stack × per-client session policy × experiment. The
+// ScenarioRegistry maps names to specs (the built-in entries cover every
+// figure/table of the paper plus defended and noisy-device variants), and
+// ScenarioRunner turns any spec into a ScenarioOutcome — so a new workload
+// is a registry entry, not a new translation unit. The bench_scenarios driver runs any entry or
+// prefix (`--run=fig4/`) through this path.
 #pragma once
 
 #include <map>
@@ -42,17 +42,16 @@ enum class ExperimentKind {
 std::string to_string(DatasetKind kind);
 std::string to_string(ExperimentKind kind);
 
-/// One defensive decorator layer, described as data. Layers are applied
-/// in order: the first entry wraps the backend, the last is the
-/// attacker-facing top of the stack.
+/// One physical defense layer, described as data. Layers are applied
+/// in order: the first entry wraps the backend, the last is the top of
+/// the stack the service serves. Per-client policy (budget, detector
+/// screening) is not a layer: see ScenarioSpec::budget / screen.
 struct DefenseSpec {
     enum class Kind {
         DitherPower,   ///< ObfuscatedOracle, Gaussian supply-rail dither
         UniformDummy,  ///< ObfuscatedOracle, identical per-line dummies
         RandomDummy,   ///< ObfuscatedOracle, randomised per-line dummies
         NoisyPower,    ///< NoisyPowerOracle (sensing-noise model)
-        QueryBudget,   ///< QueryBudgetOracle
-        Detector,      ///< DetectorOracle (current-signature screening)
     };
 
     Kind kind = Kind::NoisyPower;
@@ -63,13 +62,6 @@ struct DefenseSpec {
     double magnitude = 0.0;
     bool relative = true;
     std::uint64_t seed = 101;
-
-    QueryBudget budget{};  ///< Kind::QueryBudget only
-
-    // Kind::Detector only.
-    sidechannel::DetectorConfig detector{};
-    bool block_flagged = false;
-    std::size_t detector_enrollment = 256;  ///< clean train samples enrolled
 };
 
 /// A multi-tenant serving workload: several clients drive one deployment
@@ -90,16 +82,6 @@ struct MultiClientOptions {
     /// (relative to the clean input maximum, as in Fig. 4's sweeps).
     double attack_strength = 10.0;
     std::size_t attack_queries = 64;  ///< adversarial queries the attacker issues
-
-    /// Per-tenant budget for Mode::BudgetExhaustion (applied to every
-    /// session; sized so the attacker's probe exhausts it but benign
-    /// traffic fits).
-    QueryBudget tenant_budget{};
-
-    /// Detector config for the per-session screens (HiddenAttacker and
-    /// DetectorIsolation enrol one shared detector, screened per session).
-    sidechannel::DetectorConfig detector{};
-    std::size_t detector_enrollment = 256;
 
     std::uint64_t seed = 7;
 };
@@ -261,7 +243,29 @@ struct ScenarioSpec {
     data::LoadOptions load;
     OutputConfig output = OutputConfig::softmax_ce();
     VictimConfig victim = VictimConfig::defaults(OutputConfig::softmax_ce());
+
+    /// Physical defenses: one decorator stack per replica, below the
+    /// service, so every tenant of a replica sees them.
     std::vector<DefenseSpec> defenses;
+
+    /// Per-client policy, enforced by session admission: the default
+    /// session every single-client experiment runs through is opened
+    /// with it, and so is every tenant of a multi-client experiment.
+    /// All-zero = unlimited (Mode::BudgetExhaustion then sizes one so the
+    /// attacker's probe exhausts it but benign traffic fits).
+    QueryBudget budget{};
+
+    /// Screen the default session's inference inputs through the
+    /// enrolled detector, log-only: flagged inputs are counted and still
+    /// answered. Multi-client HiddenAttacker and DetectorIsolation runs
+    /// always screen their tenants this way.
+    bool screen = false;
+
+    /// The one detector a screening deployment enrols, on replica 0's
+    /// hardware: its config and how many clean train samples it enrols
+    /// (0 = the whole train split).
+    sidechannel::DetectorConfig detector{};
+    std::size_t detector_enrollment = 256;
 
     /// Backend fleet size: the victim is deployed onto this many
     /// physically distinct crossbars (same weights, per-replica
@@ -354,14 +358,11 @@ public:
     /// The default session every single-client experiment runs through.
     Session& session() { return session_; }
 
-    /// The enrolled detector (non-null when the spec asked for one or a
+    /// The enrolled detector (non-null when the spec screens or a
     /// multi-client experiment enrolled one); shared, read-only.
     const sidechannel::CurrentSignatureDetector* enrolled_detector() const {
         return detector_.get();
     }
-
-    /// Non-null when the stack contains a Detector layer.
-    const DetectorOracle* detector_layer() const { return detector_layer_; }
 
 private:
     friend class ScenarioRunner;
@@ -376,7 +377,6 @@ private:
     std::vector<CrossbarOracle> backends_;
     std::unique_ptr<sidechannel::CurrentSignatureDetector> detector_;
     std::vector<std::unique_ptr<DecoratorStack>> stacks_;
-    DetectorOracle* detector_layer_ = nullptr;  ///< replica 0's detector layer
     // Declared after the stacks (and destroyed before them): the session
     // must close before the service joins its flushers, which must happen
     // before the backends they serve go away.

@@ -3,23 +3,24 @@
 // The paper's threat model is a *deployed* accelerator answering queries
 // from many clients at once — one attacker hiding among benign tenants,
 // each tenant under its own query budget and detection window. The bare
-// `Oracle` API cannot express that: its decorators keep one global
-// policy state for the whole deployment. `OracleService` redesigns the
-// serving surface around **sessions**:
+// `Oracle` API cannot express that: it has no notion of a client.
+// `OracleService` builds the serving surface around **sessions**:
 //
 //   OracleService service(stack.top(), config);   // shared deployment
 //   Session alice = service.open_session(per_tenant_policy);
 //   Session eve   = service.open_session(attacker_policy);
 //   auto label    = alice.submit_label(u);         // std::future<int>
 //
-// Per-session policy (BudgetLedger, DetectorScreen, deterministic
-// sensing-noise stream, exposure options) is enforced at submission, on
-// the submitting thread, before anything reaches the shared backend —
-// so one tenant exhausting its budget or tripping the detector never
-// perturbs another tenant's service. The whole-deployment decorators
-// (QueryBudgetOracle, DetectorOracle, …) remain the single-session
-// special case and still compose *below* the service as shared
-// infrastructure defenses.
+// Session admission is the one home of per-client policy (BudgetLedger,
+// DetectorScreen, rate buckets, suspicion bands, attribution gates,
+// deterministic sensing-noise stream, exposure options). It runs at
+// submission, on the submitting thread, as one ordered list of stages
+// before anything reaches the shared backend — so one tenant exhausting
+// its budget or tripping the detector never perturbs another tenant's
+// service, and a refused submission gives back everything the earlier
+// stages took. The decorators below the service (decorators.hpp) model
+// physical effects only — dither, dummy loads, sensing noise — and apply
+// to every tenant of their replica.
 //
 // Submissions are asynchronous (futures) and **coalesced**: a flusher
 // thread gathers individually-submitted vectors from all sessions into
@@ -365,6 +366,11 @@ public:
     std::uint64_t flagged() const;
     double flagged_fraction() const;
 
+    /// Tokens left in this session's rate bucket and in its source's
+    /// bucket (refilled snapshots; 0 when that bucket is off).
+    double rate_tokens() const;
+    double source_rate_tokens() const;
+
     std::uint64_t id() const;
 
     /// The replica this session's traffic lands on under
@@ -392,8 +398,8 @@ private:
 /// backend Oracle stack — or a fleet of N replica stacks with a
 /// RoutingPolicy. Backends are not owned and must outlive the service
 /// (each is typically a DecoratorStack top over a CrossbarOracle —
-/// infrastructure defenses below the service apply to all tenants of
-/// that replica).
+/// physical defenses below the service apply to all tenants of that
+/// replica).
 class OracleService {
 public:
     explicit OracleService(Oracle& backend, ServiceConfig config = {});
@@ -404,9 +410,13 @@ public:
     /// on an empty fleet, a null entry, or mismatched shapes.
     explicit OracleService(const std::vector<Oracle*>& replicas, ServiceConfig config = {});
 
-    /// Drains every replica queue (pending submissions complete) and
-    /// joins the flushers. Open sessions are closed.
+    /// Calls shutdown().
     ~OracleService();
+
+    /// Drains every replica queue (pending submissions complete) and
+    /// joins the flushers; later submissions throw SessionClosed.
+    /// Telemetry stays readable. Idempotent.
+    void shutdown();
 
     OracleService(const OracleService&) = delete;
     OracleService& operator=(const OracleService&) = delete;
@@ -449,8 +459,9 @@ public:
     std::size_t sessions_opened() const;
 
     /// Result-cache telemetry (all zero when the cache is disabled).
-    /// hits + misses = cache-eligible probes (scalar submissions that
-    /// passed per-session policy); entries is the current population,
+    /// hits + misses = cache-eligible scalar submissions that admission
+    /// answered or queued (a refused submission counts as neither);
+    /// entries is the current population,
     /// bounded by CacheConfig::capacity. Monotone except entries.
     std::uint64_t cache_hits() const;
     std::uint64_t cache_misses() const;

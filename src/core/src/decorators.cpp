@@ -119,41 +119,6 @@ void BudgetLedger::reset() {
     spent_power_ = 0;
 }
 
-// ---- QueryBudgetOracle ------------------------------------------------------
-
-QueryBudgetOracle::QueryBudgetOracle(Oracle& inner, QueryBudget budget)
-    : OracleDecorator(inner), ledger_(budget) {}
-
-int QueryBudgetOracle::query_label(const tensor::Vector& u) {
-    ledger_.charge_inference(1);
-    return inner().query_label(u);
-}
-
-tensor::Vector QueryBudgetOracle::query_raw(const tensor::Vector& u) {
-    ledger_.charge_inference(1);
-    return inner().query_raw(u);
-}
-
-double QueryBudgetOracle::query_power(const tensor::Vector& u) {
-    ledger_.charge_power(1);
-    return inner().query_power(u);
-}
-
-std::vector<int> QueryBudgetOracle::query_labels(const tensor::Matrix& U) {
-    ledger_.charge_inference(U.rows());
-    return inner().query_labels(U);
-}
-
-tensor::Matrix QueryBudgetOracle::query_raw_batch(const tensor::Matrix& U) {
-    ledger_.charge_inference(U.rows());
-    return inner().query_raw_batch(U);
-}
-
-tensor::Vector QueryBudgetOracle::query_power_batch(const tensor::Matrix& U) {
-    ledger_.charge_power(U.rows());
-    return inner().query_power_batch(U);
-}
-
 // ---- TokenBucket ------------------------------------------------------------
 
 namespace {
@@ -276,33 +241,6 @@ std::size_t DetectorScreen::screen_batch(const tensor::Matrix& U) {
 void DetectorScreen::reset() {
     screened_.store(0, std::memory_order_relaxed);
     flagged_.store(0, std::memory_order_relaxed);
-}
-
-// ---- DetectorOracle ---------------------------------------------------------
-
-DetectorOracle::DetectorOracle(Oracle& inner,
-                               const sidechannel::CurrentSignatureDetector& detector,
-                               bool block_flagged)
-    : OracleDecorator(inner), screen_(detector, block_flagged) {}
-
-int DetectorOracle::query_label(const tensor::Vector& u) {
-    screen_.screen(u);
-    return inner().query_label(u);
-}
-
-tensor::Vector DetectorOracle::query_raw(const tensor::Vector& u) {
-    screen_.screen(u);
-    return inner().query_raw(u);
-}
-
-std::vector<int> DetectorOracle::query_labels(const tensor::Matrix& U) {
-    screen_.screen_batch(U);
-    return inner().query_labels(U);
-}
-
-tensor::Matrix DetectorOracle::query_raw_batch(const tensor::Matrix& U) {
-    screen_.screen_batch(U);
-    return inner().query_raw_batch(U);
 }
 
 }  // namespace xbarsec::core

@@ -65,14 +65,10 @@ void apply_smoke(ScenarioSpec& spec) {
     spec.fig5.lambdas = {0.0, 0.005};
     spec.fig5.eval_limit = 60;
     spec.table1.runs = 2;
-    for (DefenseSpec& d : spec.defenses) {
-        d.detector_enrollment = std::min<std::size_t>(d.detector_enrollment, 200);
-    }
+    spec.detector_enrollment = std::min<std::size_t>(spec.detector_enrollment, 200);
     spec.multiclient.benign_clients = std::min<std::size_t>(spec.multiclient.benign_clients, 2);
     spec.multiclient.benign_queries = std::min<std::size_t>(spec.multiclient.benign_queries, 48);
     spec.multiclient.attack_queries = std::min<std::size_t>(spec.multiclient.attack_queries, 16);
-    spec.multiclient.detector_enrollment =
-        std::min<std::size_t>(spec.multiclient.detector_enrollment, 200);
     spec.replica_sweep.queries = std::min<std::size_t>(spec.replica_sweep.queries, 96);
     spec.replica_sweep.eval_limit = std::min<std::size_t>(spec.replica_sweep.eval_limit, 60);
     if (spec.replica_sweep.replica_counts.size() > 2) {
@@ -215,16 +211,13 @@ void register_builtins(ScenarioRegistry& registry) {
         registry.add(std::move(s));
     }
 
-    // Defended deployments (decorator stacks).
+    // Defended deployments (physical decorator stacks, session policy).
     {
         ScenarioSpec s = base_spec("fig4/mnist/softmax-detected",
                                    "Figure 4 against a detector-guarded deployment (log-only)",
                                    DatasetKind::MnistLike, OutputConfig::softmax_ce(),
                                    ExperimentKind::Fig4);
-        DefenseSpec det;
-        det.kind = DefenseSpec::Kind::Detector;
-        det.block_flagged = false;
-        s.defenses.push_back(det);
+        s.screen = true;
         s.fig4.evaluate_via_oracle = true;  // the detector must see the attack inputs
         registry.add(std::move(s));
     }
@@ -391,8 +384,9 @@ void register_builtins(ScenarioRegistry& registry) {
         registry.add(std::move(s));
     }
     {
-        // The decorator-stacked defended deployment: randomised dummy
-        // loads, sensing noise, and a hard power-measurement budget.
+        // The defended deployment: randomised dummy loads and sensing
+        // noise in the stack, and a hard power-measurement budget on the
+        // session.
         ScenarioSpec s = base_spec("probe/mnist/defended",
                                    "Probe quality against dummies + noise + query budget",
                                    DatasetKind::MnistLike, OutputConfig::softmax_ce(),
@@ -405,10 +399,7 @@ void register_builtins(ScenarioRegistry& registry) {
         noise.kind = DefenseSpec::Kind::NoisyPower;
         noise.magnitude = 0.25;
         s.defenses.push_back(noise);
-        DefenseSpec budget;
-        budget.kind = DefenseSpec::Kind::QueryBudget;
-        budget.budget.max_power = 4 * 784;  // one full probe plus headroom
-        s.defenses.push_back(budget);
+        s.budget.max_power = 4 * 784;  // one full probe plus headroom
         registry.add(std::move(s));
     }
 }
@@ -438,10 +429,8 @@ std::string experiment_label(const ScenarioSpec& spec) {
 }
 
 /// Applies one DefenseSpec as a decorator layer. `scale` is the deployed
-/// weights' max column 1-norm (for relative magnitudes); `detector` must
-/// be non-null for Kind::Detector.
-DetectorOracle* push_defense_layer(DecoratorStack& stack, const DefenseSpec& d, double scale,
-                                   const sidechannel::CurrentSignatureDetector* detector) {
+/// weights' max column 1-norm (for relative magnitudes).
+void push_defense_layer(DecoratorStack& stack, const DefenseSpec& d, double scale) {
     const double magnitude = d.relative ? d.magnitude * scale : d.magnitude;
     switch (d.kind) {
         case DefenseSpec::Kind::DitherPower:
@@ -456,20 +445,24 @@ DetectorOracle* push_defense_layer(DecoratorStack& stack, const DefenseSpec& d, 
             config.magnitude = magnitude;
             config.seed = d.seed;
             stack.push<ObfuscatedOracle>(config);
-            return nullptr;
+            return;
         }
         case DefenseSpec::Kind::NoisyPower:
             stack.push<NoisyPowerOracle>(magnitude, d.seed);
-            return nullptr;
-        case DefenseSpec::Kind::QueryBudget:
-            stack.push<QueryBudgetOracle>(d.budget);
-            return nullptr;
-        case DefenseSpec::Kind::Detector:
-            XS_EXPECTS_MSG(detector != nullptr,
-                           "detector layer requested without an enrolled detector");
-            return &stack.push<DetectorOracle>(*detector, d.block_flagged);
+            return;
     }
     throw ConfigError("unknown defense kind");
+}
+
+/// fig5 and table1 deploy fresh victims per run and never open the
+/// deployment's default session, so a session policy would silently do
+/// nothing there.
+void reject_session_policy(const ScenarioSpec& spec, const char* experiment) {
+    if (!spec.budget.unlimited() || spec.screen) {
+        throw ConfigError(std::string(experiment) +
+                          " scenarios do not support a session budget or detector screening "
+                          "(each run deploys a fresh victim; use a fig4 or probe scenario)");
+    }
 }
 
 double deployed_weight_scale(const CrossbarOracle& backend) {
@@ -492,26 +485,21 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     d.backends_ = deploy_victim_fleet(d.victim_.net, d.spec_.victim, replicas);
     for (CrossbarOracle& backend : d.backends_) backend.set_thread_pool(pool_);
 
-    // A detector is enrolled when a stack layer asks for one, or when a
-    // multi-client experiment screens per session (shared enrolment,
+    // A detector is enrolled when the spec screens sessions, or when a
+    // multi-client experiment screens per tenant (shared enrolment,
     // per-tenant windows). Enrolment happens once, on replica 0's
     // hardware: the deployment registers one clean signature for the
     // service, not one per device.
-    const auto it = std::find_if(
-        spec.defenses.begin(), spec.defenses.end(),
-        [](const DefenseSpec& ds) { return ds.kind == DefenseSpec::Kind::Detector; });
     const bool multiclient_detector =
         spec.experiment == ExperimentKind::MultiClient &&
         spec.multiclient.mode != MultiClientOptions::Mode::BudgetExhaustion;
-    if (it != spec.defenses.end() || multiclient_detector) {
+    if (spec.screen || multiclient_detector) {
         // Enrol on clean training data through the deployed hardware.
-        const sidechannel::DetectorConfig config =
-            it != spec.defenses.end() ? it->detector : spec.multiclient.detector;
-        const std::size_t take = it != spec.defenses.end() ? it->detector_enrollment
-                                                           : spec.multiclient.detector_enrollment;
-        const data::Dataset enrollment = take > 0 ? d.split_.train.take(take) : d.split_.train;
+        const data::Dataset enrollment = spec.detector_enrollment > 0
+                                             ? d.split_.train.take(spec.detector_enrollment)
+                                             : d.split_.train;
         d.detector_ = std::make_unique<sidechannel::CurrentSignatureDetector>(
-            d.backends_.front().hardware_for_evaluation(), enrollment, config);
+            d.backends_.front().hardware_for_evaluation(), enrollment, spec.detector);
     }
 
     // One decorator stack per replica, all built from the same defense
@@ -522,19 +510,15 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     d.stacks_.reserve(replicas);
     for (CrossbarOracle& backend : d.backends_) {
         auto stack = std::make_unique<DecoratorStack>(backend);
-        for (const DefenseSpec& defense : spec.defenses) {
-            DetectorOracle* layer =
-                push_defense_layer(*stack, defense, scale, d.detector_.get());
-            if (layer != nullptr && d.stacks_.empty()) d.detector_layer_ = layer;
-        }
+        for (const DefenseSpec& defense : spec.defenses) push_defense_layer(*stack, defense, scale);
         d.stacks_.push_back(std::move(stack));
     }
 
     // Front the stacks with the serving layer. Single-client experiments
-    // run through the default session (pass-through policy and, under the
-    // default session-affine routing, one replica — bit-identical to
-    // querying the stack top directly); multi-client experiments open
-    // further sessions on the same service.
+    // run through the default session (the spec's per-client policy and,
+    // under the default session-affine routing, one replica — answers
+    // bit-identical to querying the stack top directly); multi-client
+    // experiments open further sessions on the same service.
     std::vector<Oracle*> tops;
     tops.reserve(replicas);
     for (auto& stack : d.stacks_) tops.push_back(&stack->top());
@@ -543,7 +527,10 @@ DeployedScenario ScenarioRunner::deploy(const ScenarioSpec& spec) const {
     service_config.routing = spec.routing;
     service_config.cache = spec.cache;
     d.service_ = std::make_unique<OracleService>(tops, service_config);
-    d.session_ = d.service_->open_session();
+    SessionConfig policy;
+    policy.budget = spec.budget;
+    if (spec.screen) policy.detector = d.detector_.get();  // log-only
+    d.session_ = d.service_->open_session(policy);
     return d;
 }
 
@@ -556,9 +543,9 @@ void finish_with_cost(ScenarioOutcome& outcome, DeployedScenario& d) {
     outcome.metrics["attacker_inference_queries"] =
         static_cast<double>(outcome.attacker_cost.inference);
     outcome.metrics["attacker_power_queries"] = static_cast<double>(outcome.attacker_cost.power);
-    if (d.detector_layer() != nullptr) {
-        outcome.metrics["detector_screened"] = static_cast<double>(d.detector_layer()->screened());
-        outcome.metrics["detector_flagged_fraction"] = d.detector_layer()->flagged_fraction();
+    if (d.spec().screen) {
+        outcome.metrics["detector_screened"] = static_cast<double>(d.session().screened());
+        outcome.metrics["detector_flagged_fraction"] = d.session().flagged_fraction();
     }
 }
 
@@ -606,12 +593,7 @@ ScenarioOutcome run_fig4_scenario(const ScenarioRunner& runner, const ScenarioSp
 }
 
 ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
-    for (const DefenseSpec& defense : spec.defenses) {
-        if (defense.kind == DefenseSpec::Kind::Detector) {
-            throw ConfigError("fig5 scenarios do not support detector layers (each run deploys "
-                              "a fresh victim; use a fig4 or probe scenario)");
-        }
-    }
+    reject_session_policy(spec, "fig5");
     ScenarioOutcome outcome;
     const data::DataSplit split = load_split(spec);
     Fig5Options options = spec.fig5;
@@ -620,9 +602,7 @@ ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
         options.defense = [defenses = spec.defenses](DecoratorStack& stack,
                                                      CrossbarOracle& backend) {
             const double scale = deployed_weight_scale(backend);
-            for (const DefenseSpec& defense : defenses) {
-                push_defense_layer(stack, defense, scale, nullptr);
-            }
+            for (const DefenseSpec& defense : defenses) push_defense_layer(stack, defense, scale);
         };
     }
     VictimConfig victim = spec.victim;
@@ -637,6 +617,7 @@ ScenarioOutcome run_fig5_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
 }
 
 ScenarioOutcome run_table1_scenario(const ScenarioSpec& spec, ThreadPool* pool) {
+    reject_session_policy(spec, "table1");
     if (!spec.defenses.empty()) {
         throw ConfigError("table1 scenarios do not support defense stacks (the probe is the "
                           "measurement itself; use a probe scenario to study defenses)");
@@ -670,10 +651,13 @@ ScenarioOutcome run_probe_scenario(const ScenarioRunner& runner, const ScenarioS
     Table table({"Deployment", "L1 rel. error",
                  "Top-" + std::to_string(spec.probe_topk) + " ranking agreement",
                  "Power queries"});
+    // Layers: the physical stack plus each per-client policy the session
+    // enforces.
+    const std::size_t layers =
+        spec.defenses.size() + (spec.budget.unlimited() ? 0 : 1) + (spec.screen ? 1 : 0);
     table.begin_row();
-    table.add(spec.defenses.empty()
-                  ? std::string("undefended")
-                  : "defended (" + std::to_string(spec.defenses.size()) + "-layer stack)");
+    table.add(layers == 0 ? std::string("undefended")
+                          : "defended (" + std::to_string(layers) + "-layer stack)");
     table.add(rel_error, 4);
     table.add(agreement, 3);
     table.add(static_cast<long long>(probe.queries));
@@ -731,9 +715,9 @@ BenignOutcome run_benign_client(Session& session, const data::Dataset& test, std
 
 /// One attacker among benign tenants: every client is a concurrent
 /// session on one OracleService over one shared deployment. The three
-/// modes measure what multi-tenancy adds over the single-client
-/// decorators: per-tenant detection windows, per-tenant budgets, and
-/// isolation of both.
+/// modes measure what multi-tenancy adds over a single client:
+/// per-tenant detection windows, per-tenant budgets, and isolation of
+/// both.
 ScenarioOutcome run_multiclient_scenario(const ScenarioRunner& runner, const ScenarioSpec& spec) {
     using Mode = MultiClientOptions::Mode;
     const MultiClientOptions& mc = spec.multiclient;
@@ -746,7 +730,7 @@ ScenarioOutcome run_multiclient_scenario(const ScenarioRunner& runner, const Sce
     // Per-tenant policy. Benign tenants and the attacker get the *same*
     // policy — the deployment cannot know who is who up front.
     SessionConfig tenant;
-    tenant.budget = mc.tenant_budget;
+    tenant.budget = spec.budget;
     if (mc.mode == Mode::BudgetExhaustion && tenant.budget.unlimited()) {
         // Enough power budget for half a probe sweep, plenty of
         // inference for the benign workloads.

@@ -87,21 +87,22 @@ public:
     }
 
     /// Probes for an exact entry; a hit refreshes its LRU position.
-    /// Every call counts toward hits/misses (callers probe only for
-    /// cache-eligible submissions).
+    /// Probing counts nothing: admission calls count() once the probed
+    /// submission is answered (hit) or queued (miss), so a submission
+    /// refused after its probe leaves hits/misses untouched.
     bool lookup(std::uint64_t hash, QueryKind kind, std::size_t replica, std::uint64_t partition,
                 std::span<const double> row, Value& out) {
         std::lock_guard lock(mutex_);
         const auto it = index_.find(hash);
         if (it == index_.end() || !matches(*it->second, kind, replica, partition, row)) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
             return false;
         }
         lru_.splice(lru_.begin(), lru_, it->second);
         out = it->second->value;
-        hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
     }
+
+    void count(bool hit) { (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed); }
 
     void insert(std::uint64_t hash, QueryKind kind, std::size_t replica, std::uint64_t partition,
                 tensor::Vector input, Value value) {
@@ -383,14 +384,12 @@ ReplicaState& route(ServiceState& svc, const SessionState& s) {
     return *svc.replicas.front();
 }
 
-/// Admission control runs on the submitting thread, *before* routing —
-/// policy is per-session, not per-replica — and is split in two so cache
-/// hits can replay it exactly: `screen` (exposure + detector, never
-/// charged) runs for every submission, hit or miss; `charge` (budget +
-/// session counters) runs after the cache verdict, because whether a hit
-/// touches the BudgetLedger is a ServiceConfig decision. A submission
-/// refused at any step charges and counts nothing downstream of the
-/// refusal point.
+/// Admission stage 1, on the submitting thread and *before* routing
+/// (policy is per-session, not per-replica): exposure checks, detector
+/// screening and the attribution observation. It runs for every
+/// submission, cache hit or miss, and takes nothing a refusal gives back:
+/// screened rows stay in the detector and attribution windows even when
+/// a later stage refuses the submission.
 ///
 /// Returns whether this submission is *escalated*: attribution is on,
 /// the deployment alert is up, and at least one of these rows was
@@ -451,21 +450,58 @@ bool screen(SessionState& s, QueryKind kind, const tensor::Matrix& U) {
     return hot && at->engine.alert();
 }
 
-/// Budget then session counters. `charge_budget` is false only for cache
-/// hits under CacheConfig::hits_charge_budget = false — the session's
-/// own counters count every accepted query regardless.
-void charge(SessionState& s, QueryKind kind, std::uint64_t rows, bool charge_budget) {
-    // An unlimited budget never refuses, so skip its mutex on the
-    // per-query fast path.
-    const bool budgeted = charge_budget && !s.config.budget.unlimited();
-    if (kind == QueryKind::Power) {
-        if (budgeted) s.ledger.charge_power(rows);
-        s.power_count.fetch_add(rows, std::memory_order_relaxed);
-    } else {
-        if (budgeted) s.ledger.charge_inference(rows);
-        s.inference_count.fetch_add(rows, std::memory_order_relaxed);
+/// What one submission has taken so far. It lives on the submitter's
+/// stack; submit() notes each debit here as its stages run, and when a
+/// stage refuses, unwind() gives the debits back in reverse order — so a
+/// refused submission leaves the rate buckets, the budget ledger and the
+/// session counters as it found them.
+struct Admission {
+    SessionState& s;
+    QueryKind kind;
+    std::uint64_t rows;
+    bool session_tokens = false;  ///< s.bucket debited
+    bool source_tokens = false;   ///< s.source_bucket debited
+    bool budget = false;          ///< s.ledger charged
+    bool counted = false;         ///< session counters bumped
+
+    /// Rate admission, all-or-nothing per bucket: the session bucket,
+    /// then the per-source bucket (attribution).
+    void take_tokens() {
+        if (s.bucket != nullptr) {
+            s.bucket->acquire(rows);
+            session_tokens = true;
+        }
+        if (s.source_bucket != nullptr) {
+            s.source_bucket->acquire(rows);
+            source_tokens = true;
+        }
     }
-}
+
+    /// Budget then session counters. `charge_budget` is false only for
+    /// cache hits under CacheConfig::hits_charge_budget = false — the
+    /// session's own counters count every accepted query regardless. An
+    /// unlimited budget never refuses, so its mutex is skipped.
+    void charge(bool charge_budget) {
+        if (charge_budget && !s.config.budget.unlimited()) {
+            power() ? s.ledger.charge_power(rows) : s.ledger.charge_inference(rows);
+            budget = true;
+        }
+        counter().fetch_add(rows, std::memory_order_relaxed);
+        counted = true;
+    }
+
+    void unwind() {
+        if (counted) counter().fetch_sub(rows, std::memory_order_relaxed);
+        if (budget) power() ? s.ledger.refund_power(rows) : s.ledger.refund_inference(rows);
+        if (source_tokens) s.source_bucket->refund(rows);
+        if (session_tokens) s.bucket->refund(rows);
+    }
+
+    bool power() const { return kind == QueryKind::Power; }
+    std::atomic<std::uint64_t>& counter() const {
+        return power() ? s.power_count : s.inference_count;
+    }
+};
 
 /// Enqueues an admitted unit on `replica` and wakes its flusher if it
 /// is idle. Per-replica counters are bumped only after the push
@@ -526,31 +562,47 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
     return future;
 }
 
-/// Rolls an admitted-but-not-enqueued submission back out of the
-/// session's ledger and counters, so a SessionClosed thrown by the
-/// queue push leaves nothing charged or counted.
-void unadmit(SessionState& s, QueryKind kind, std::uint64_t rows) {
-    const bool budgeted = !s.config.budget.unlimited();
-    if (kind == QueryKind::Power) {
-        if (budgeted) s.ledger.refund_power(rows);
-        s.power_count.fetch_sub(rows, std::memory_order_relaxed);
-    } else {
-        if (budgeted) s.ledger.refund_inference(rows);
-        s.inference_count.fetch_sub(rows, std::memory_order_relaxed);
+/// Answers a cache hit on the submitting thread from the stored clean
+/// value; a power hit draws the session's next noise ordinal, so a
+/// session cannot tell (except by latency) whether its answer was
+/// recomputed.
+template <typename Promise>
+auto answer_from_cache(SessionState& s, ResultCache::Value& value, bool escalate) {
+    Promise promise;
+    auto future = promise.get_future();
+    if constexpr (std::is_same_v<Promise, std::promise<int>>) {
+        promise.set_value(value.label);
+    } else if constexpr (std::is_same_v<Promise, std::promise<double>>) {
+        const std::uint64_t ordinal = s.power_ordinal.fetch_add(1, std::memory_order_relaxed);
+        const double sigma = escalated_power_sigma(s, escalate);
+        promise.set_value(value.power + (sigma > 0.0 ? session_noise(s, sigma, ordinal) : 0.0));
+    } else if constexpr (std::is_same_v<Promise, std::promise<tensor::Vector>>) {
+        // Scalar + promise<Vector> is only ever a raw query (a scalar
+        // power submission resolves a promise<double>).
+        promise.set_value(std::move(value.raw));
     }
+    return future;
 }
 
-/// Checks the session handle, screens the submission, probes the result
-/// cache (scalar submissions only — a cached batch would have to match
-/// row-for-row, which skewed traffic never does), then charges and either
-/// answers inline (hit) or routes to a replica and enqueues (miss).
+/// Session admission: one ordered list of stages on the submitting
+/// thread, then either an inline cache answer or a queued unit.
 ///
-/// The hit path replays the hitting session's *own* policy: exposure and
-/// detector screening already ran above, the budget charge obeys
-/// CacheConfig::hits_charge_budget, session counters always advance, and
-/// a power hit draws the session's next noise ordinal — so a session
-/// cannot tell (except by latency) whether its answer was recomputed.
-/// Per-replica counters never see a hit: nothing was routed.
+///   1. screen      exposure checks, detector, attribution observe
+///   2. escalation  raw outputs refused while the alert marks these rows
+///   3. probation   attribution: source first seen during an alert
+///   4. quarantine  the campaign's suspicion band refuses service
+///   5. rate        session bucket, then 6. the source bucket
+///   7. cache       probe (scalar submissions only); a hit is charged
+///                  under CacheConfig::hits_charge_budget and answered
+///   8. charge      budget ledger, then session counters
+///   9. route       pick the replica (the cache probe may have already)
+///  10. enqueue     push onto the replica queue (SessionClosed after
+///                  shutdown)
+///
+/// Every debit is noted in an Admission; a refusal at any stage runs its
+/// unwind once, so the submission costs the client nothing it was not
+/// answered for. Cache hit/miss counts and per-replica counters move only
+/// once a submission is answered or queued.
 template <typename Promise>
 auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool scalar,
             tensor::Matrix inputs) {
@@ -559,52 +611,40 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
     }
     SessionState& s = *session;
     ServiceState& svc = *s.service;
-    const bool escalate = screen(s, kind, inputs);
-    if (escalate && kind == QueryKind::Raw) {
-        // Deployment alert + probe-shaped rows: raw outputs close
-        // per-query, before campaign clustering has even merged the
-        // session — a forged source gets no pre-attribution window.
-        throw AccessDenied("raw outputs are withheld while the deployment alert is active");
-    }
-    // Attribution-level refusals run *after* screening so the refused
-    // rows still feed the engine: the probe-population window stays hot
-    // (the alert cannot be waited out by hammering a frozen source) and
-    // overlap evidence keeps accruing against the campaign.
-    if (AttribState* at = svc.attrib.get()) {
-        if (at->engine.probation(s.config.source)) {
+    Admission taken{s, kind, inputs.rows()};
+    try {
+        const bool escalate = screen(s, kind, inputs);
+        if (escalate && kind == QueryKind::Raw) {
+            // Deployment alert + probe-shaped rows: raw outputs close
+            // per-query, before campaign clustering has even merged the
+            // session — a forged source gets no pre-attribution window.
+            throw AccessDenied("raw outputs are withheld while the deployment alert is active");
+        }
+        // Attribution-level refusals run *after* screening so the refused
+        // rows still feed the engine: the probe-population window stays
+        // hot (the alert cannot be waited out by hammering a frozen
+        // source) and overlap evidence keeps accruing against the
+        // campaign.
+        if (svc.attrib != nullptr && svc.attrib->engine.probation(s.config.source)) {
             throw QueryRefused(
                 "source is on probation: first seen while the deployment alert was active");
         }
-    }
-    if (const AdaptivePolicy::Band* band = adaptive_band(s);
-        band != nullptr && band->refuse_queries) {
-        // Campaign quarantine: the top suspicion band refuses service
-        // outright. Label-degraded answers still distill a model; an
-        // attributed campaign gets nothing, and rotation lands every
-        // fresh session straight back in the pooled window.
-        throw QueryRefused("session's campaign is quarantined at this suspicion level");
-    }
-    const std::uint64_t rows = inputs.rows();
-    // Rate admission after screening (a screened-out submission spends
-    // no tokens) and before the cache probe — hits consume rate like
-    // any answered query, otherwise replaying popular inputs would be
-    // rate-free. All-or-nothing: RateLimited takes nothing. The
-    // per-source bucket (attribution) is acquired second and rolls the
-    // session bucket back on refusal, so a refusal still takes nothing.
-    if (s.bucket != nullptr) s.bucket->acquire(rows);
-    if (s.source_bucket != nullptr) {
-        try {
-            s.source_bucket->acquire(rows);
-        } catch (...) {
-            if (s.bucket != nullptr) s.bucket->refund(rows);
-            throw;
+        if (const AdaptivePolicy::Band* band = adaptive_band(s);
+            band != nullptr && band->refuse_queries) {
+            // Campaign quarantine: label-degraded answers still distill a
+            // model; an attributed campaign gets nothing, and rotation
+            // lands every fresh session straight back in the pooled window.
+            throw QueryRefused("session's campaign is quarantined at this suspicion level");
         }
-    }
-    try {
-        std::uint64_t cache_hash = 0;
-        bool cacheable = false;
+        // Rate admission after screening (a screened-out submission spends
+        // no tokens) and before the cache probe — hits consume rate like
+        // any answered query, otherwise replaying popular inputs would be
+        // rate-free.
+        taken.take_tokens();
         ReplicaState* replica = nullptr;
-        if (svc.cache != nullptr && scalar) {
+        std::uint64_t cache_hash = 0;
+        const bool cacheable = svc.cache != nullptr && scalar;
+        if (cacheable) {
             // Route *before* probing: the replica index is part of the key
             // (replicas have distinct device-variation signatures, so their
             // answers are not interchangeable).
@@ -614,42 +654,19 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
             ResultCache::Value value;
             if (svc.cache->lookup(cache_hash, kind, replica->index, partition, inputs.row_span(0),
                                   value)) {
-                // May throw QueryBudgetExceeded — before anything was
-                // counted or answered, exactly like a refused miss.
-                charge(s, kind, rows, svc.config.cache.hits_charge_budget);
-                Promise promise;
-                auto future = promise.get_future();
-                if constexpr (std::is_same_v<Promise, std::promise<int>>) {
-                    promise.set_value(value.label);
-                } else if constexpr (std::is_same_v<Promise, std::promise<double>>) {
-                    const std::uint64_t ordinal =
-                        s.power_ordinal.fetch_add(1, std::memory_order_relaxed);
-                    const double sigma = escalated_power_sigma(s, escalate);
-                    promise.set_value(value.power +
-                                      (sigma > 0.0 ? session_noise(s, sigma, ordinal) : 0.0));
-                } else if constexpr (std::is_same_v<Promise, std::promise<tensor::Vector>>) {
-                    // Scalar + promise<Vector> is only ever a raw query (a
-                    // scalar power submission resolves a promise<double>).
-                    promise.set_value(std::move(value.raw));
-                }
-                return future;
+                taken.charge(svc.config.cache.hits_charge_budget);
+                svc.cache->count(true);
+                return answer_from_cache<Promise>(s, value, escalate);
             }
-            cacheable = true;  // miss: the flusher stores the clean answer
         }
-        charge(s, kind, rows, true);
-        try {
-            if (replica == nullptr) replica = &route(svc, s);
-            return enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs), cache_hash,
-                                    cacheable, escalate);
-        } catch (...) {
-            unadmit(s, kind, rows);
-            throw;
-        }
+        taken.charge(true);
+        if (replica == nullptr) replica = &route(svc, s);
+        auto future = enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs),
+                                       cache_hash, cacheable, escalate);
+        if (cacheable) svc.cache->count(false);  // miss: the flusher stores the clean answer
+        return future;
     } catch (...) {
-        // Refused downstream of rate admission (budget, shutdown): the
-        // tokens go back, so a refusal costs the client nothing.
-        if (s.bucket != nullptr) s.bucket->refund(rows);
-        if (s.source_bucket != nullptr) s.source_bucket->refund(rows);
+        taken.unwind();
         throw;
     }
 }
@@ -803,13 +820,13 @@ void execute_group(ReplicaState& replica, std::vector<Unit>& units, std::size_t 
 /// never split, preserving the backend stack's all-or-nothing charging
 /// and its noise-stream layout).
 ///
-/// A backend-stack exception (shared blocking detector, shared budget
-/// cap) from a *merged* group must not take innocent tenants' queries
-/// down with the one that tripped it, so the group falls back to
-/// per-unit backend calls — each unit then succeeds or fails exactly as
-/// it would have under serial issue. (Stack-level screening counters
-/// may see the offending rows once more on the retry; isolation of the
-/// tenants' answers is the contract that matters.)
+/// Any backend may throw (a faulty device, a custom Oracle that refuses
+/// some inputs). An exception from a *merged* group must not take
+/// innocent tenants' queries down with the unit that tripped it, so the
+/// group falls back to per-unit backend calls — each unit then succeeds
+/// or fails exactly as it would have under serial issue. (A backend
+/// that keeps state may see the offending rows once more on the retry;
+/// isolation of the tenants' answers is the contract that matters.)
 void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& units,
            tensor::Matrix& storage) {
     std::size_t first = 0;
@@ -1027,6 +1044,16 @@ double Session::flagged_fraction() const {
                                                             : 0.0;
 }
 
+double Session::rate_tokens() const {
+    return (state_ != nullptr && state_->bucket != nullptr) ? state_->bucket->available() : 0.0;
+}
+
+double Session::source_rate_tokens() const {
+    return (state_ != nullptr && state_->source_bucket != nullptr)
+               ? state_->source_bucket->available()
+               : 0.0;
+}
+
 std::uint64_t Session::id() const { return state_ != nullptr ? state_->id : 0; }
 
 std::size_t Session::home_replica() const {
@@ -1111,7 +1138,9 @@ OracleService::OracleService(const std::vector<Oracle*>& replicas, ServiceConfig
     }
 }
 
-OracleService::~OracleService() {
+OracleService::~OracleService() { shutdown(); }
+
+void OracleService::shutdown() {
     for (auto& replica : state_->replicas) {
         {
             std::lock_guard lock(replica->mutex);

@@ -1,14 +1,17 @@
 // Backend wrappers for the serving-layer tests. A service flusher only
-// ever makes batched backend calls, so both wrappers hook exactly those
+// ever makes batched backend calls, so the wrappers hook exactly those
 // and pass scalar calls straight through.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <algorithm>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "xbarsec/core/decorators.hpp"
 #include "xbarsec/core/oracle.hpp"
 
 namespace xbarsec::core {
@@ -25,22 +28,22 @@ public:
     tensor::Vector query_raw(const tensor::Vector& u) override { return inner_.query_raw(u); }
     double query_power(const tensor::Vector& u) override { return inner_.query_power(u); }
     std::vector<int> query_labels(const tensor::Matrix& U) override {
-        before_batch(U.rows());
+        before_batch(U);
         return inner_.query_labels(U);
     }
     tensor::Matrix query_raw_batch(const tensor::Matrix& U) override {
-        before_batch(U.rows());
+        before_batch(U);
         return inner_.query_raw_batch(U);
     }
     tensor::Vector query_power_batch(const tensor::Matrix& U) override {
-        before_batch(U.rows());
+        before_batch(U);
         return inner_.query_power_batch(U);
     }
     QueryCounters counters() const override { return inner_.counters(); }
     void reset_counters() override { inner_.reset_counters(); }
 
 protected:
-    virtual void before_batch(std::size_t rows) = 0;
+    virtual void before_batch(const tensor::Matrix& U) = 0;
 
 private:
     Oracle& inner_;
@@ -54,7 +57,7 @@ public:
         : ForwardingOracle(inner), delay_(delay) {}
 
 protected:
-    void before_batch(std::size_t) override { std::this_thread::sleep_for(delay_); }
+    void before_batch(const tensor::Matrix&) override { std::this_thread::sleep_for(delay_); }
 
 private:
     std::chrono::microseconds delay_;
@@ -101,9 +104,9 @@ public:
     }
 
 protected:
-    void before_batch(std::size_t rows) override {
+    void before_batch(const tensor::Matrix& U) override {
         std::unique_lock lock(mutex_);
-        batch_rows_.push_back(rows);
+        batch_rows_.push_back(U.rows());
         if (!armed_) return;
         held_ = true;
         cv_.notify_all();
@@ -116,6 +119,28 @@ private:
     bool armed_ = false;
     bool held_ = false;
     std::vector<std::size_t> batch_rows_;
+};
+
+/// Refuses (QueryRefused) every batched call that carries a row equal to
+/// `sentinel`, before it reaches `inner` — a backend that throws on some
+/// inputs, for the flusher's per-unit fallback.
+class RefusingOracle : public ForwardingOracle {
+public:
+    RefusingOracle(Oracle& inner, tensor::Vector sentinel)
+        : ForwardingOracle(inner), sentinel_(std::move(sentinel)) {}
+
+protected:
+    void before_batch(const tensor::Matrix& U) override {
+        for (std::size_t r = 0; r < U.rows(); ++r) {
+            const auto row = U.row_span(r);
+            if (std::equal(row.begin(), row.end(), sentinel_.begin(), sentinel_.end())) {
+                throw QueryRefused("sentinel row");
+            }
+        }
+    }
+
+private:
+    tensor::Vector sentinel_;
 };
 
 }  // namespace xbarsec::core

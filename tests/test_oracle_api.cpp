@@ -1,6 +1,6 @@
 // Tests for the polymorphic Oracle API: batched-vs-scalar equivalence,
 // SoftwareOracle/CrossbarOracle agreement, thread-pool batching, atomic
-// counter accounting, and the composable defense decorators.
+// counter accounting, and the composable physical-defense decorators.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -226,120 +226,6 @@ TEST(Decorators, AccessControlPropagatesThroughTheStack) {
     EXPECT_THROW(defended.query_raw(tensor::Vector(backend.inputs(), 0.1)), AccessDenied);
 }
 
-TEST(QueryBudgetOracle, ThrowsOnExhaustionAndDoesNotChargeRefusals) {
-    Rng rng(14);
-    CrossbarOracle backend = make_oracle(make_net(rng));
-    QueryBudget budget;
-    budget.max_power = 5;
-    QueryBudgetOracle capped(backend, budget);
-    const tensor::Vector u(backend.inputs(), 0.5);
-
-    for (int i = 0; i < 5; ++i) EXPECT_NO_THROW(capped.query_power(u));
-    EXPECT_THROW(capped.query_power(u), QueryBudgetExceeded);
-    EXPECT_EQ(capped.spent().power, 5u);
-    EXPECT_EQ(backend.counters().power, 5u);  // the refused query never ran
-
-    // Inference budget is independent of the power budget.
-    EXPECT_NO_THROW(capped.query_label(u));
-}
-
-TEST(QueryBudgetOracle, BatchChargingIsAllOrNothing) {
-    Rng rng(15);
-    CrossbarOracle backend = make_oracle(make_net(rng));
-    QueryBudget budget;
-    budget.max_inference = 10;
-    QueryBudgetOracle capped(backend, budget);
-    const tensor::Matrix U = random_batch(rng, 8, backend.inputs());
-
-    EXPECT_NO_THROW(capped.query_labels(U));        // 8 of 10 spent
-    EXPECT_THROW(capped.query_labels(U), QueryBudgetExceeded);  // 8 more would cross
-    EXPECT_EQ(capped.spent().inference, 8u);        // refused batch not charged
-    EXPECT_EQ(backend.counters().inference, 8u);    // and never reached the backend
-}
-
-TEST(QueryBudgetOracle, TotalBudgetSpansBothKinds) {
-    Rng rng(16);
-    CrossbarOracle backend = make_oracle(make_net(rng));
-    QueryBudget budget;
-    budget.max_total = 3;
-    QueryBudgetOracle capped(backend, budget);
-    const tensor::Vector u(backend.inputs(), 0.5);
-    EXPECT_NO_THROW(capped.query_label(u));
-    EXPECT_NO_THROW(capped.query_power(u));
-    EXPECT_NO_THROW(capped.query_raw(u));
-    EXPECT_THROW(capped.query_label(u), QueryBudgetExceeded);
-    EXPECT_THROW(capped.query_power(u), QueryBudgetExceeded);
-}
-
-TEST(Decorators, CompositionOrderGovernsBudgetCharging) {
-    // Detector-inside-budget charges refused queries; budget-inside-
-    // detector does not (the refusal happens before the budget sees it).
-    Rng rng(17);
-    const nn::SingleLayerNet net = make_net(rng, 16, 3);
-
-    // Enrolment data: modest-intensity inputs in [0, 1).
-    tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 120, 16);
-    std::vector<int> labels(120);
-    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 3);
-    const data::Dataset enrollment(std::move(clean), std::move(labels), 3,
-                                   data::ImageShape{4, 4, 1});
-
-    CrossbarOracle backend_a = make_oracle(net);
-    CrossbarOracle backend_b = make_oracle(net);
-    const sidechannel::CurrentSignatureDetector detector_a(
-        backend_a.hardware_for_evaluation(), enrollment);
-    const sidechannel::CurrentSignatureDetector detector_b(
-        backend_b.hardware_for_evaluation(), enrollment);
-
-    // An unmistakably adversarial input: one pixel at 50x the clean max.
-    tensor::Vector attack(16, 0.2);
-    attack[3] = 50.0;
-    ASSERT_TRUE(detector_a.is_adversarial(attack));
-
-    QueryBudget budget;
-    budget.max_inference = 10;
-
-    // Stack A: DetectorOracle(QueryBudgetOracle(backend)) — the budget is
-    // charged first, then the detector refuses.
-    QueryBudgetOracle budget_a(backend_a, budget);
-    DetectorOracle stack_a(budget_a, detector_a, /*block_flagged=*/true);
-    EXPECT_THROW(stack_a.query_label(attack), QueryRefused);
-    EXPECT_EQ(budget_a.spent().inference, 0u);  // refusal happened above the budget
-
-    // Stack B: QueryBudgetOracle(DetectorOracle(backend)) — the budget
-    // wraps the detector, so charging precedes screening.
-    DetectorOracle detector_layer_b(backend_b, detector_b, /*block_flagged=*/true);
-    QueryBudgetOracle stack_b(detector_layer_b, budget);
-    EXPECT_THROW(stack_b.query_label(attack), QueryRefused);
-    EXPECT_EQ(stack_b.spent().inference, 1u);  // charged before the refusal
-
-    // Either way the backend never saw the flagged query.
-    EXPECT_EQ(backend_a.counters().inference, 0u);
-    EXPECT_EQ(backend_b.counters().inference, 0u);
-}
-
-TEST(Decorators, DetectorLogOnlyCountsButAnswers) {
-    Rng rng(18);
-    const nn::SingleLayerNet net = make_net(rng, 16, 3);
-    tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 120, 16);
-    std::vector<int> labels(120);
-    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 3);
-    const data::Dataset enrollment(std::move(clean), std::move(labels), 3,
-                                   data::ImageShape{4, 4, 1});
-
-    CrossbarOracle backend = make_oracle(net);
-    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
-                                                         enrollment);
-    DetectorOracle guarded(backend, detector, /*block_flagged=*/false);
-
-    tensor::Vector attack(16, 0.2);
-    attack[3] = 50.0;
-    EXPECT_NO_THROW(guarded.query_label(attack));
-    EXPECT_EQ(guarded.screened(), 1u);
-    EXPECT_EQ(guarded.flagged(), 1u);
-    EXPECT_DOUBLE_EQ(guarded.flagged_fraction(), 1.0);
-}
-
 TEST(DecoratorStack, BuildsOwnedChains) {
     Rng rng(19);
     CrossbarOracle backend = make_oracle(make_net(rng));
@@ -347,16 +233,18 @@ TEST(DecoratorStack, BuildsOwnedChains) {
     EXPECT_EQ(&stack.top(), &backend);
 
     stack.push<NoisyPowerOracle>(0.0);
-    QueryBudget budget;
-    budget.max_power = 2;
-    stack.push<QueryBudgetOracle>(budget);
+    ObfuscationConfig dither;
+    dither.kind = ObfuscationConfig::Kind::Dither;
+    stack.push<ObfuscatedOracle>(dither);
     EXPECT_EQ(stack.depth(), 2u);
+    EXPECT_NE(&stack.top(), static_cast<Oracle*>(&backend));
 
+    // Each query through the chain is counted once, at the backend.
     const tensor::Vector u(backend.inputs(), 0.5);
     EXPECT_NO_THROW(stack.top().query_power(u));
     EXPECT_NO_THROW(stack.top().query_power(u));
-    EXPECT_THROW(stack.top().query_power(u), QueryBudgetExceeded);
     EXPECT_EQ(backend.counters().power, 2u);
+    EXPECT_EQ(stack.top().counters().power, 2u);
 }
 
 // ---- oracle-driven sidechannel entry points ---------------------------------

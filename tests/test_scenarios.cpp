@@ -68,12 +68,16 @@ TEST(ScenarioRegistry, PrefixFilterIsAnchored) {
 TEST(ScenarioRunner, DeploysDecoratorStacks) {
     ScenarioRunner runner;
     DeployedScenario d = runner.deploy(tiny("probe/mnist/defended"));
-    EXPECT_EQ(d.spec().defenses.size(), 3u);
-    EXPECT_NE(&d.oracle(), static_cast<Oracle*>(&d.backend()));  // stack is non-trivial
+    EXPECT_EQ(d.spec().defenses.size(), 2u);  // dummies + sensing noise
+    EXPECT_NE(&d.stack_top(), static_cast<Oracle*>(&d.backend()));  // stack is non-trivial
+    EXPECT_NE(&d.oracle(), &d.stack_top());  // served through the default session
     EXPECT_EQ(d.oracle().inputs(), 784u);
     // One query through the top of the stack is counted once.
     (void)d.oracle().query_label(tensor::Vector(784, 0.1));
     EXPECT_EQ(d.backend().counters().inference, 1u);
+    // The spec's power budget sits on that session.
+    (void)d.oracle().query_power(tensor::Vector(784, 0.1));
+    EXPECT_EQ(d.session().budget_spent().power, 1u);
 }
 
 TEST(ScenarioRunner, RunsFig4ScenarioEndToEnd) {
@@ -126,11 +130,14 @@ TEST(ScenarioRunner, RejectsUnsupportedDefenseCombinations) {
     spec.defenses.push_back(defense);
     EXPECT_THROW(runner.run(spec), ConfigError);
 
+    // fig5 and table1 never serve through the default session, so a
+    // session policy is rejected rather than silently ignored.
     ScenarioSpec fig5_spec = tiny("fig5/mnist/label");
-    DefenseSpec detector;
-    detector.kind = DefenseSpec::Kind::Detector;
-    fig5_spec.defenses.push_back(detector);
+    fig5_spec.screen = true;
     EXPECT_THROW(runner.run(fig5_spec), ConfigError);
+    ScenarioSpec table1_spec = tiny("table1/mnist/softmax");
+    table1_spec.budget.max_power = 784;
+    EXPECT_THROW(runner.run(table1_spec), ConfigError);
 }
 
 TEST(ScenarioSmoke, ShrinksSweeps) {

@@ -239,6 +239,208 @@ TEST(Service, SessionBudgetIsChargedAllOrNothingAtSubmit) {
     EXPECT_EQ(backend.counters().inference, 8u);                      // never reached backend
 }
 
+TEST(Service, SessionBudgetExhaustsPerKindAndRefusalsChargeNothing) {
+    Rng rng(14);
+    CrossbarOracle backend = make_oracle(make_net(rng));
+    OracleService service(backend);
+    SessionConfig config;
+    config.budget.max_power = 5;
+    Session session = service.open_session(config);
+    const tensor::Vector u(backend.inputs(), 0.5);
+
+    for (int i = 0; i < 5; ++i) EXPECT_NO_THROW((void)session.submit_power(u).get());
+    EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
+    EXPECT_EQ(session.budget_spent().power, 5u);
+    EXPECT_EQ(backend.counters().power, 5u);  // the refused query never ran
+
+    // The inference budget is independent of the power budget.
+    EXPECT_NO_THROW((void)session.submit_label(u).get());
+}
+
+TEST(Service, SessionTotalBudgetSpansBothKinds) {
+    Rng rng(16);
+    CrossbarOracle backend = make_oracle(make_net(rng));
+    OracleService service(backend);
+    SessionConfig config;
+    config.budget.max_total = 3;
+    Session session = service.open_session(config);
+    const tensor::Vector u(backend.inputs(), 0.5);
+
+    EXPECT_NO_THROW((void)session.submit_label(u).get());
+    EXPECT_NO_THROW((void)session.submit_power(u).get());
+    EXPECT_NO_THROW((void)session.submit_raw(u).get());
+    EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
+    EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
+    EXPECT_EQ(session.budget_spent().total(), 3u);
+}
+
+/// Clean enrolment data for a 16-input, 3-class detector.
+data::Dataset make_enrollment(Rng& rng) {
+    tensor::Matrix clean = tensor::Matrix::random_uniform(rng, 120, 16);
+    std::vector<int> labels(120);
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = static_cast<int>(i % 3);
+    return data::Dataset(std::move(clean), std::move(labels), 3, data::ImageShape{4, 4, 1});
+}
+
+TEST(Service, DetectorRefusedSubmissionChargesNoBudget) {
+    // Admission always screens before it charges, so a blocking
+    // detector's refusal never reaches the budget ledger.
+    Rng rng(17);
+    const nn::SingleLayerNet net = make_net(rng, 16, 3);
+    CrossbarOracle backend = make_oracle(net);
+    const data::Dataset enrollment = make_enrollment(rng);
+    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
+                                                         enrollment);
+    OracleService service(backend);
+    SessionConfig config;
+    config.budget.max_inference = 10;
+    config.detector = &detector;
+    config.block_flagged = true;
+    Session session = service.open_session(config);
+
+    tensor::Vector attack(16, 0.2);
+    attack[3] = 50.0;  // one pixel at 50x the clean max
+    ASSERT_TRUE(detector.is_adversarial(attack));
+    EXPECT_THROW(session.submit_label(attack), QueryRefused);
+    EXPECT_EQ(session.budget_spent().inference, 0u);
+    EXPECT_EQ(session.counters().inference, 0u);
+    EXPECT_EQ(backend.counters().inference, 0u);  // the flagged query never ran
+}
+
+// ---- refusal conservation ---------------------------------------------------
+
+// Rate buckets on a clock that never advances: token counts are exact.
+std::chrono::nanoseconds frozen_clock() { return std::chrono::nanoseconds(0); }
+
+/// Everything admission may take from a client or record for it.
+struct AdmissionSnapshot {
+    double session_tokens = 0.0;
+    double source_tokens = 0.0;
+    QueryCounters spent;
+    QueryCounters counted;
+    QueryCounters replica;
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
+};
+
+AdmissionSnapshot snapshot(const OracleService& service, const Session& session) {
+    AdmissionSnapshot s;
+    s.session_tokens = session.rate_tokens();
+    s.source_tokens = session.source_rate_tokens();
+    s.spent = session.budget_spent();
+    s.counted = session.counters();
+    s.replica = service.replica_counters(0);
+    s.cache_hits = service.cache_hits();
+    s.cache_misses = service.cache_misses();
+    return s;
+}
+
+TEST(Service, RefusedSubmissionGivesBackEverythingAdmissionTook) {
+    // One case per refusing stage. Every case starts from the same policy
+    // (rate buckets, budget, log-only detector, cache, attribution with a
+    // source bucket), primes the session with one answered query, adjusts
+    // one knob so the next submission is refused at the stage under test,
+    // and checks that the refusal moved nothing.
+    Rng rng(21);
+    const nn::SingleLayerNet net = make_net(rng, 16, 3);
+    const data::Dataset enrollment = make_enrollment(rng);
+    const tensor::Vector primed(16, 0.2);
+    const tensor::Vector fresh(16, 0.3);
+    tensor::Vector attack(16, 0.2);
+    attack[3] = 50.0;
+
+    enum class Refusal { Denied, Refused, Limited, OverBudget, Closed };
+    struct Case {
+        const char* stage;
+        void (*adjust)(ServiceConfig&, SessionConfig&);
+        bool shut_down;
+        const tensor::Vector* input;
+        bool power;
+        Refusal expect;
+    };
+    const Case cases[] = {
+        {"exposure", [](ServiceConfig&, SessionConfig& c) { c.expose_power = false; }, false,
+         &fresh, true, Refusal::Denied},
+        {"blocking detector", [](ServiceConfig&, SessionConfig& c) { c.block_flagged = true; },
+         false, &attack, false, Refusal::Refused},
+        {"quarantine",
+         [](ServiceConfig&, SessionConfig& c) {
+             c.adaptive.bands = {AdaptivePolicy::Band{0.25, 1.0, true, true}};
+             c.adaptive.min_screened = 1;
+         },
+         false, &attack, false, Refusal::Refused},
+        {"session rate", [](ServiceConfig&, SessionConfig& c) { c.rate.burst = 1.0; }, false,
+         &fresh, false, Refusal::Limited},
+        {"source rate",
+         [](ServiceConfig& s, SessionConfig&) { s.attribution.source_rate.burst = 1.0; }, false,
+         &fresh, false, Refusal::Limited},
+        {"budget on a miss", [](ServiceConfig&, SessionConfig& c) { c.budget.max_inference = 1; },
+         false, &fresh, false, Refusal::OverBudget},
+        {"budget on a cache hit",
+         [](ServiceConfig&, SessionConfig& c) { c.budget.max_inference = 1; }, false, &primed,
+         false, Refusal::OverBudget},
+        {"shutdown", [](ServiceConfig&, SessionConfig&) {}, true, &fresh, false, Refusal::Closed},
+    };
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.stage);
+        CrossbarOracle backend = make_oracle(net);
+        const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
+                                                             enrollment);
+        ServiceConfig service_config;
+        service_config.cache.enabled = true;
+        service_config.attribution.enabled = true;
+        service_config.attribution.source_rate = RateLimit{1.0, 8.0};
+        service_config.attribution.source_clock = frozen_clock;
+        SessionConfig session_config;
+        session_config.budget.max_inference = 4;
+        session_config.budget.max_power = 4;
+        session_config.rate = RateLimit{1.0, 8.0};
+        session_config.rate_clock = frozen_clock;
+        session_config.detector = &detector;
+        session_config.source = 7;
+        c.adjust(service_config, session_config);
+
+        OracleService service(backend, service_config);
+        Session session = service.open_session(session_config);
+        (void)session.submit_label(primed).get();  // a miss, now cached
+        if (c.shut_down) service.shutdown();
+
+        const AdmissionSnapshot before = snapshot(service, session);
+        ASSERT_EQ(before.counted.inference, 1u);
+        ASSERT_EQ(before.cache_misses, 1u);
+        try {
+            if (c.power) {
+                (void)session.submit_power(*c.input);
+            } else {
+                (void)session.submit_label(*c.input);
+            }
+            ADD_FAILURE() << "submission was admitted";
+        } catch (const AccessDenied&) {
+            EXPECT_EQ(c.expect, Refusal::Denied);
+        } catch (const QueryRefused&) {
+            EXPECT_EQ(c.expect, Refusal::Refused);
+        } catch (const RateLimited&) {
+            EXPECT_EQ(c.expect, Refusal::Limited);
+        } catch (const QueryBudgetExceeded&) {
+            EXPECT_EQ(c.expect, Refusal::OverBudget);
+        } catch (const SessionClosed&) {
+            EXPECT_EQ(c.expect, Refusal::Closed);
+        }
+        const AdmissionSnapshot after = snapshot(service, session);
+        EXPECT_EQ(after.session_tokens, before.session_tokens);
+        EXPECT_EQ(after.source_tokens, before.source_tokens);
+        EXPECT_EQ(after.spent.inference, before.spent.inference);
+        EXPECT_EQ(after.spent.power, before.spent.power);
+        EXPECT_EQ(after.counted.inference, before.counted.inference);
+        EXPECT_EQ(after.counted.power, before.counted.power);
+        EXPECT_EQ(after.replica.inference, before.replica.inference);
+        EXPECT_EQ(after.replica.power, before.replica.power);
+        EXPECT_EQ(after.cache_hits, before.cache_hits);
+        EXPECT_EQ(after.cache_misses, before.cache_misses);
+    }
+}
+
 TEST(Service, SessionExposureOptionsDenyAtSubmit) {
     Rng rng(9);
     const nn::SingleLayerNet net = make_net(rng);

@@ -110,27 +110,23 @@ TEST(SessionIsolation, BlockingDetectorRefusesOnlyTheOffendingSession) {
 }
 
 TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
-    // A blocking DetectorOracle in the *shared* stack below the service:
-    // when the coalescer merges tenants' submissions into one backend
-    // batch and the shared defense refuses it, the group falls back to
-    // per-unit calls — innocent tenants' queries still get answers, as
-    // they would under serial issue. A held first query makes the three
-    // submissions behind it merge.
+    // A shared backend below the service that refuses one input: when the
+    // coalescer merges tenants' submissions into one backend batch and
+    // the backend refuses it, the group falls back to per-unit calls —
+    // innocent tenants' queries still get answers, as they would under
+    // serial issue. A held first query makes the three submissions behind
+    // it merge.
     Rng rng(6);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);
-    const data::Dataset enrollment = make_enrollment(rng);
-    const sidechannel::CurrentSignatureDetector detector(backend.hardware_for_evaluation(),
-                                                         enrollment);
-    DetectorOracle guard(backend, detector, /*block_flagged=*/true);
+    tensor::Vector attack(net.inputs(), 0.2);
+    attack[3] = 50.0;
+    const tensor::Vector clean(net.inputs(), 0.2);
+    RefusingOracle guard(backend, attack);
     GatedOracle gated(guard);
     OracleService service(gated);
     Session a = service.open_session();
     Session b = service.open_session();
-
-    tensor::Vector attack(net.inputs(), 0.2);
-    attack[3] = 50.0;
-    const tensor::Vector clean(net.inputs(), 0.2);
 
     gated.hold();
     auto first = a.submit_label(clean);
@@ -145,7 +141,7 @@ TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
     EXPECT_THROW((void)refused.get(), QueryRefused);
     EXPECT_NO_THROW((void)after.get());
     // The held query, then the merged group of three (refused whole by
-    // the shared guard), then its per-unit fallback.
+    // the shared backend), then its per-unit fallback.
     EXPECT_EQ(gated.batch_rows(), (std::vector<std::size_t>{1, 3, 1, 1, 1}));
     // Only the clean queries reached the backend.
     EXPECT_EQ(backend.counters().inference, 3u);

@@ -1,5 +1,5 @@
 // Concurrency stress for the serving layer and the decorator stack:
-// N threads hammer one shared stack / one service, under ASan/TSan-
+// N threads hammer one service over a shared stack, under ASan/TSan-
 // friendly patterns (no sleeps-as-synchronisation, every future drained,
 // exact final accounting). Run in CI under ASan+UBSan via the `service`
 // ctest label.
@@ -40,9 +40,9 @@ constexpr std::size_t kThreads = 8;
 constexpr std::size_t kPerThread = 64;
 
 TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
-    // The satellite audit target: one budget+detector+noise stack over
-    // noisy hardware (atomic measurement counter), driven directly from
-    // N concurrent callers. Counting must be exact and every noise
+    // One sensing-noise stack over noisy hardware (atomic measurement
+    // counter), served to N concurrent sessions that each carry their own
+    // budget and detector screen. Counting must be exact and every noise
     // coordinate unique (the atomic reservation can't hand out
     // duplicates — checked indirectly by the exact counter totals).
     Rng rng(1);
@@ -55,19 +55,24 @@ TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
                                                          enrollment);
 
     NoisyPowerOracle noise_layer(backend, 0.01);
-    DetectorOracle detect_layer(noise_layer, detector, /*block_flagged=*/false);
-    QueryBudget budget;
-    budget.max_inference = kThreads * kPerThread;
-    budget.max_power = kThreads * kPerThread;
-    QueryBudgetOracle capped(detect_layer, budget);
+    OracleService service(noise_layer);
+    SessionConfig policy;
+    policy.budget.max_inference = kPerThread;
+    policy.budget.max_power = kPerThread;
+    policy.detector = &detector;
+    policy.block_flagged = false;
+    std::vector<Session> sessions;
+    sessions.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) sessions.push_back(service.open_session(policy));
 
     const tensor::Vector u(net.inputs(), 0.3);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
+        threads.emplace_back([&, t] {
+            Oracle& oracle = sessions[t].oracle();
             for (std::size_t q = 0; q < kPerThread; ++q) {
-                (void)capped.query_label(u);
-                (void)capped.query_power(u);
+                (void)oracle.query_label(u);
+                (void)oracle.query_power(u);
             }
         });
     }
@@ -75,17 +80,16 @@ TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
 
     EXPECT_EQ(backend.counters().inference, kThreads * kPerThread);
     EXPECT_EQ(backend.counters().power, kThreads * kPerThread);
-    EXPECT_EQ(capped.spent().inference, kThreads * kPerThread);
-    EXPECT_EQ(capped.spent().power, kThreads * kPerThread);
-    EXPECT_EQ(detect_layer.screened(), kThreads * kPerThread);
-    // The budget is now exactly spent: one more of either kind throws.
-    EXPECT_THROW(capped.query_label(u), QueryBudgetExceeded);
-    EXPECT_THROW(capped.query_power(u), QueryBudgetExceeded);
+    for (Session& session : sessions) {
+        EXPECT_EQ(session.budget_spent().inference, kPerThread);
+        EXPECT_EQ(session.budget_spent().power, kPerThread);
+        EXPECT_EQ(session.screened(), kPerThread);
+    }
 
     // Measurement-counter reservations were neither lost nor duplicated
-    // under concurrency: the same workload issued serially on an
-    // identical stack reserves exactly as many (screening and the
-    // detector's own hardware reads included).
+    // under concurrency: the same workload issued serially through one
+    // session on an identical stack reserves exactly as many (screening
+    // and the detector's own hardware reads included).
     Rng rng2(1);
     const nn::SingleLayerNet net2 = make_net(rng2);
     CrossbarOracle serial_backend = make_oracle(net2, noisy);
@@ -93,14 +97,27 @@ TEST(ServiceStress, DecoratorStackSurvivesConcurrentCallers) {
     const sidechannel::CurrentSignatureDetector detector2(
         serial_backend.hardware_for_evaluation(), enrollment2);
     NoisyPowerOracle serial_noise(serial_backend, 0.01);
-    DetectorOracle serial_detect(serial_noise, detector2, false);
-    QueryBudgetOracle serial_capped(serial_detect, budget);
+    OracleService serial_service(serial_noise);
+    SessionConfig serial_policy = policy;
+    serial_policy.budget.max_inference = kThreads * kPerThread;
+    serial_policy.budget.max_power = kThreads * kPerThread;
+    serial_policy.detector = &detector2;
+    Session serial = serial_service.open_session(serial_policy);
     for (std::size_t q = 0; q < kThreads * kPerThread; ++q) {
-        (void)serial_capped.query_label(u);
-        (void)serial_capped.query_power(u);
+        (void)serial.oracle().query_label(u);
+        (void)serial.oracle().query_power(u);
     }
+    EXPECT_EQ(serial.screened(), kThreads * kPerThread);
     EXPECT_EQ(backend.hardware_for_evaluation().crossbar().measurement_count(),
               serial_backend.hardware_for_evaluation().crossbar().measurement_count());
+
+    // Each budget is now exactly spent: one more of either kind throws.
+    // (Checked last: admission screens before it charges, so the refused
+    // label query still reads the detector's hardware.)
+    for (Session& session : sessions) {
+        EXPECT_THROW(session.submit_label(u), QueryBudgetExceeded);
+        EXPECT_THROW(session.submit_power(u), QueryBudgetExceeded);
+    }
 }
 
 TEST(ServiceStress, ConcurrentSessionsAccountExactly) {
