@@ -23,14 +23,17 @@
 // A trickle series (trickle@<gap>us) prices the idle path: one client
 // submitting async scalar labels at a fixed gap, with the submit-to-ready
 // latency recorded as p50/p99. Every other series is saturated or
-// request-response; this one is neither.
+// request-response; this one is neither. The sync@1 row prices one
+// client's synchronous Session::oracle().query_label against
+// query_label on the bare backend.
 //
 // Results go to BENCH_service.json through the shared recorder. The
 // acceptance gates (full runs): coalesced >= 3x uncoalesced per-vector
 // issue at 8 concurrent clients (medians of 7 interleaved runs of each,
-// every sample recorded), and >= 2.5x single-replica coalesced
-// throughput at 4 replicas on hosts with >= 4 cores (recorded but not
-// gated on smaller hosts).
+// every sample recorded), a synchronous session query <= 1.5x the
+// direct oracle's (medians of 7 interleaved runs of each), and >= 2.5x
+// single-replica coalesced throughput at 4 replicas on hosts with >= 4
+// cores (recorded but not gated on smaller hosts).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -450,7 +453,7 @@ int main(int argc, char** argv) {
         core::CrossbarOracle backend = core::deploy_victim(victim.net, config);
 
         // A one-worker pool is pure scheduling overhead — run the backend
-        // GEMMs inline on the flusher thread instead on such hosts.
+        // GEMMs inline on the calling thread instead on such hosts.
         const std::size_t workers = cli.integer("threads") > 0
                                         ? static_cast<std::size_t>(cli.integer("threads"))
                                         : std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
@@ -579,6 +582,40 @@ int main(int argc, char** argv) {
         rec.add("median_coalesced_batch_qps", gate_batched_qps);
         rec.add("batch_speedup_vs_uncoalesced", gate_speedup);
 
+        // -- sync gate: one session's synchronous query vs the bare oracle --------
+        //
+        // One client, Session::oracle().query_label (admission, enqueue,
+        // the one-row backend call, the future) against query_label
+        // straight on the backend, medians of kGatePairs interleaved runs
+        // of each. The ledger gate is session <= 1.5x direct.
+        std::vector<double> sync_direct_us;
+        std::vector<double> sync_session_us;
+        rec.begin("sync@1");
+        rec.add("clients", 1ll);
+        rec.add("queries", static_cast<long long>(per_client));
+        {
+            core::ServiceConfig service_config;
+            service_config.pool = pool.get();
+            core::OracleService service(backend, service_config);
+            (void)run_direct_scalar(backend, query_pool, 1, per_client / 4 + 1);  // warm
+            (void)run_request_response(service, query_pool, 1, per_client / 4 + 1);
+            const double us_per_query = 1e6 / static_cast<double>(per_client);
+            for (std::size_t i = 0; i < kGatePairs; ++i) {
+                sync_direct_us.push_back(
+                    run_direct_scalar(backend, query_pool, 1, per_client) * us_per_query);
+                sync_session_us.push_back(
+                    run_request_response(service, query_pool, 1, per_client) * us_per_query);
+                rec.add("direct_us_" + std::to_string(i), sync_direct_us.back());
+                rec.add("session_us_" + std::to_string(i), sync_session_us.back());
+            }
+        }
+        const double sync_direct_median = stats::median(sync_direct_us);
+        const double sync_session_median = stats::median(sync_session_us);
+        const double sync_ratio = sync_session_median / sync_direct_median;
+        rec.add("median_direct_us", sync_direct_median);
+        rec.add("median_session_us", sync_session_median);
+        rec.add("session_vs_direct", sync_ratio);
+
         // -- series 2: throughput vs coalesced-batch size ------------------------
         const std::size_t sweep_clients =
             static_cast<std::size_t>(client_counts.back());
@@ -604,9 +641,9 @@ int main(int argc, char** argv) {
         // N independent crossbar replicas of the same victim (distinct
         // device-variation seeds) behind one service; the scalar
         // coalesced stream spreads over the fleet via the routing
-        // policy. On a multicore host each replica's flusher + GEMM runs
-        // on its own core, so throughput scales until the cores (or the
-        // shared pool) saturate.
+        // policy. On a multicore host each replica's combiner (a client
+        // thread) runs its GEMMs on its own core, so throughput scales
+        // until the cores (or the shared pool) saturate.
         Table replica_table({"Replicas", "Routing", "Coalesced q/s", "Mean batch",
                              "Speedup vs 1", "Rows/replica (min..max)"});
         double single_replica_qps = 0.0;
@@ -659,10 +696,10 @@ int main(int argc, char** argv) {
         // max_batch pinned far above what the clients can supply: with C
         // clients at pipeline depth D, at most C x D rows are ever in
         // flight, so the realised mean batch saturates near min(C x D,
-        // max_batch). The flusher is work-conserving — an idle replica
-        // flushes at once, and a batch is whatever queued behind the
-        // previous backend call — so a batch never waits for max_batch
-        // to fill. This is the "max_batch@1024 plateaus near 437 rows"
+        // max_batch). Coalescing is work-conserving — a submitter that
+        // finds its replica idle runs at once, and a batch is whatever
+        // queued behind the previous backend call — so a batch never
+        // waits for max_batch to fill. This is the "max_batch@1024 plateaus near 437 rows"
         // anomaly, isolated.
         constexpr std::size_t kDepthSeriesMaxBatch = 1024;
         Table depth_table({"Pipeline depth", "In-flight cap", "Coalesced q/s", "Mean batch"});
@@ -784,7 +821,8 @@ int main(int argc, char** argv) {
         // One client, async scalar labels at a fixed gap, far below the
         // backend's capacity: the replica is idle at almost every
         // arrival, so the latency is the cost of the idle path itself
-        // (enqueue, flusher wake, one-row backend call, future wake).
+        // (admission, enqueue, the one-row backend call on the submitting
+        // thread, the collector's future wake).
         // Recorded without a gate.
         Table trickle_table({"Gap (us)", "Achieved gap (us)", "p50 (us)", "p99 (us)",
                              "Mean batch"});
@@ -825,7 +863,11 @@ int main(int argc, char** argv) {
                   << zipf_table << "\n## Hit-charging semantics (skew "
                   << Table::format_number(max_skew, 1) << ", budgeted sessions)\n\n"
                   << charge_table << "\n## Idle path: one client trickling async scalar labels\n\n"
-                  << trickle_table;
+                  << trickle_table << "\n## Synchronous label query, one client (median of "
+                  << kGatePairs << " interleaved runs)\n\ndirect "
+                  << Table::format_number(sync_direct_median, 2) << " us, session "
+                  << Table::format_number(sync_session_median, 2) << " us ("
+                  << Table::format_number(sync_ratio, 2) << "x)\n";
 
         const std::string out_path = cli.str("out");
         if (!rec.write(out_path)) {
@@ -848,9 +890,16 @@ int main(int argc, char** argv) {
                       << (pass ? " (PASS, >= 3x)" : " (FAIL, below the 3x target)") << "\n";
             if (!pass) exit_code = 1;
 
+            const bool sync_pass = sync_ratio <= 1.5;
+            std::cout << "session sync label query vs direct oracle (median of " << kGatePairs
+                      << " interleaved runs each): " << Table::format_number(sync_ratio, 2)
+                      << (sync_pass ? " (PASS, <= 1.5x)" : " (FAIL, above the 1.5x target)")
+                      << "\n";
+            if (!sync_pass) exit_code = 1;
+
             // Replica-scaling gate: 4 replicas must buy >= 2.5x the
             // single-replica coalesced throughput — but only on hosts
-            // with >= 4 cores (one flusher per replica needs a core to
+            // with >= 4 cores (each replica's combiner needs a core to
             // run on). Smaller hosts record the numbers without gating.
             if (quad_replica_speedup > 0.0) {
                 if (std::thread::hardware_concurrency() >= 4) {
@@ -869,11 +918,11 @@ int main(int argc, char** argv) {
             }
 
             // Zipf cache gate: the shared cache must buy >= 5x
-            // request-response throughput at the highest skew. A hit runs
-            // on the submitting thread while a miss pays the queue
-            // roundtrip — on a 1-core host the miss baseline is itself
-            // throttled by flusher/client context switching, so the ratio
-            // is only meaningful with >= 2 cores (recorded regardless).
+            // request-response throughput at the highest skew. A hit costs
+            // a cache probe while a miss pays the backend call — on a
+            // 1-core host every client time-slices the one core, so the
+            // ratio is only meaningful with >= 2 cores (recorded
+            // regardless).
             if (zipf_gate_speedup > 0.0) {
                 if (std::thread::hardware_concurrency() >= 2) {
                     const bool zipf_pass = zipf_gate_speedup >= 5.0;

@@ -150,7 +150,8 @@ int main() {
         // above; here the fleet gets realistic read noise + stuck cells
         // so the per-replica signatures actually differ). Round-robin
         // routing spreads the scalar stream over the fleet; each replica
-        // coalesces its own share on its own flusher.
+        // coalesces its own share in its own queue, run by whichever
+        // submitter finds that replica idle.
         core::VictimConfig fleet_victim = config;
         fleet_victim.nonideal.read_noise_std = 0.05;
         fleet_victim.nonideal.stuck_off_fraction = 0.01;

@@ -378,8 +378,8 @@ private:
     std::unique_ptr<sidechannel::CurrentSignatureDetector> detector_;
     std::vector<std::unique_ptr<DecoratorStack>> stacks_;
     // Declared after the stacks (and destroyed before them): the session
-    // must close before the service joins its flushers, which must happen
-    // before the backends they serve go away.
+    // must close before the service shuts down (draining every replica
+    // queue), which must happen before the backends it calls go away.
     std::unique_ptr<OracleService> service_;
     Session session_;
 };

@@ -22,21 +22,33 @@
 // physical effects only — dither, dummy loads, sensing noise — and apply
 // to every tenant of their replica.
 //
-// Submissions are asynchronous (futures) and **coalesced**: a flusher
-// thread gathers individually-submitted vectors from all sessions into
-// `query_*_batch` calls against the backend — the one-GEMM fast path the
-// kernel layer provides. The flusher is work-conserving (Nagle's rule,
-// RFC 896): an idle replica flushes whatever is queued at once, and the
-// submissions that arrive while a backend call runs form the next batch
-// (up to `max_batch` rows). A lone query never waits for partners;
-// batches grow only under load. Coalescing preserves submission order
-// and groups only *consecutive* same-kind submissions into one backend
-// batch, so a coalesced stream is bit-identical to the same queries
-// issued serially (the backend's batched paths already guarantee
-// batch = in-order scalars; see crossbar.hpp). Per-session sensing
-// noise is drawn from a counter-based stream indexed by the session's
-// own query ordinal, so it too is independent of how submissions were
-// packed into batches.
+// Submissions are asynchronous (futures) and **coalesced** by flat
+// combining (Hendler, Incze, Shavit, Tzafrir, SPAA 2010): there is no
+// service thread. A submitter that finds its replica idle becomes the
+// replica's *combiner* and runs the queue itself — its own vector and
+// whatever other sessions queue meanwhile — as `query_*_batch` calls
+// against the backend, the one-GEMM fast path the kernel layer provides.
+// A submitter that finds a combiner active only enqueues; the combiner
+// answers its future. This is work-conserving (Nagle's rule, RFC 896): a
+// lone query runs at once on its own thread, and the submissions that
+// arrive while a backend call runs form the next batch (up to
+// `max_batch` rows), so batches grow only under load.
+//
+// **Blocking bound.** An async submit_* that takes the combiner role
+// returns the first time it finds its replica's queue empty. In between
+// it may run units other sessions queued meanwhile, so under sustained
+// load on one replica it can be held for several backend calls. Each
+// backend call still carries at most `max_batch` rows (an explicit batch
+// larger than that goes through whole, never split). A submitter that
+// finds a combiner active returns at once.
+//
+// Coalescing preserves submission order and groups only *consecutive*
+// same-kind submissions into one backend batch, so a coalesced stream is
+// bit-identical to the same queries issued serially (the backend's
+// batched paths already guarantee batch = in-order scalars; see
+// crossbar.hpp). Per-session sensing noise is drawn from a counter-based
+// stream indexed by the session's own query ordinal, so it too is
+// independent of how submissions were packed into batches.
 //
 // **Result cache.** An optional content-addressed cache sits in front of
 // the per-replica coalescers: a scalar submission whose (kind, replica,
@@ -57,7 +69,7 @@
 // one — the same programmed weights deployed on N physically distinct
 // (simulated) crossbars, each with its own device-variation signature
 // (see xbar::replica_variation_seed and core::deploy_victim_fleet).
-// Each replica owns a private coalescing queue, flusher thread, and
+// Each replica owns a private coalescing queue, combiner role, and
 // recycled gather scratch, so replicas never contend on a shared queue
 // lock; they share at most the one nesting-safe ThreadPool for the GEMM
 // work underneath. A RoutingPolicy picks the replica at submission
@@ -66,7 +78,7 @@
 // single-session case bit-identical to a single-backend service),
 // round-robin (whole submissions rotate over replicas), or least-loaded
 // (fewest enqueued-but-unanswered rows). Units are never split across
-// replicas, and each replica's flusher preserves the arrival order of
+// replicas, and each replica's combiner preserves the arrival order of
 // the units routed to it — so the answer stream of replica k is
 // bit-identical to serially issuing those same queries against replica
 // k alone.
@@ -77,7 +89,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -211,16 +222,16 @@ struct ServiceConfig {
 
     /// External pool to use instead of owning one (not owned; must
     /// outlive the service). The scenario benches pass their shared pool
-    /// through here. With a replica fleet, all replica flushers share
-    /// this one nesting-safe pool for their backend GEMMs.
+    /// through here. With a replica fleet, every replica's backend calls
+    /// share this one nesting-safe pool for their GEMMs.
     ThreadPool* pool = nullptr;
 
-    /// Maximum rows per backend batch call. The flusher is
-    /// work-conserving: an idle replica flushes at once, and the rows
-    /// that queue up behind a running backend call form the next batch,
-    /// merged up to this cap. A single explicitly-submitted batch larger
-    /// than the cap still goes through whole (explicit batches are never
-    /// split).
+    /// Maximum rows per backend batch call. Coalescing is
+    /// work-conserving: a submitter that finds its replica idle runs its
+    /// rows at once, and the rows that queue up behind a running backend
+    /// call form the next batch, merged up to this cap. A single
+    /// explicitly-submitted batch larger than the cap still goes through
+    /// whole (explicit batches are never split).
     ///
     /// Note that `max_batch` is a *cap*, not a target: a flush can never
     /// carry more rows than the clients queued during the previous
@@ -393,7 +404,8 @@ private:
 };
 
 /// Thread-safe serving front-end: owns the per-replica coalescing
-/// queues, their flusher threads, and (optionally) the worker pool;
+/// queues and (optionally) the worker pool, and starts no thread of its
+/// own — submitters run the backend calls (see the blocking bound above);
 /// serves any number of concurrently open sessions over one shared
 /// backend Oracle stack — or a fleet of N replica stacks with a
 /// RoutingPolicy. Backends are not owned and must outlive the service
@@ -404,7 +416,7 @@ class OracleService {
 public:
     explicit OracleService(Oracle& backend, ServiceConfig config = {});
 
-    /// Fleet constructor: one coalescing queue + flusher per replica.
+    /// Fleet constructor: one coalescing queue per replica.
     /// All replicas must agree on inputs()/outputs() (same programmed
     /// weights; device state may differ per replica). Throws ConfigError
     /// on an empty fleet, a null entry, or mismatched shapes.
@@ -413,9 +425,10 @@ public:
     /// Calls shutdown().
     ~OracleService();
 
-    /// Drains every replica queue (pending submissions complete) and
-    /// joins the flushers; later submissions throw SessionClosed.
-    /// Telemetry stays readable. Idempotent.
+    /// Stops every replica and blocks until each active combiner has
+    /// drained its queue (pending submissions complete); later
+    /// submissions throw SessionClosed. Telemetry stays readable.
+    /// Idempotent.
     void shutdown();
 
     OracleService(const OracleService&) = delete;
@@ -499,7 +512,6 @@ public:
 private:
     std::shared_ptr<detail::ServiceState> state_;
     std::unique_ptr<ThreadPool> owned_pool_;
-    std::vector<std::thread> flushers_;  ///< one per replica
 };
 
 }  // namespace xbarsec::core

@@ -187,7 +187,7 @@ struct Unit {
 };
 
 /// One backend replica's serving state: its private coalescing queue,
-/// flush signalling, and telemetry. Replicas never share a queue lock —
+/// the combiner role, and telemetry. Replicas never share a queue lock —
 /// the only cross-replica contention is the (optional) shared ThreadPool
 /// underneath the backend GEMMs.
 struct ReplicaState {
@@ -195,11 +195,17 @@ struct ReplicaState {
     std::size_t index = 0;
 
     std::mutex mutex;
-    std::condition_variable cv;
-    /// Producers append; the flusher swaps the whole vector against a
-    /// recycled empty one, so steady-state submission never allocates.
+    std::condition_variable cv;  ///< shutdown waits here for the combiner to leave
+    /// Producers append; the combiner swaps the whole vector against
+    /// `batch`, so steady-state submission never allocates.
     std::vector<Unit> queue;
     bool stopping = false;
+    bool combining = false;  ///< a submitter is draining the queue
+
+    /// The combiner's recycled scratch: only the thread holding the
+    /// combiner role touches these, outside the mutex.
+    std::vector<Unit> batch;
+    tensor::Matrix storage;
 
     /// Rows enqueued but not yet answered — the lock-free load signal
     /// LeastLoaded routing scans.
@@ -503,9 +509,34 @@ struct Admission {
     }
 };
 
-/// Enqueues an admitted unit on `replica` and wakes its flusher if it
-/// is idle. Per-replica counters are bumped only after the push
-/// succeeded, so a SessionClosed thrown here leaves them untouched.
+void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& units,
+           tensor::Matrix& storage);
+
+/// Flat combining (Hendler, Incze, Shavit, Tzafrir, SPAA 2010): the
+/// calling thread holds the combiner role and drains `replica`'s queue.
+/// Each pass swaps out everything queued and flushes it without the lock;
+/// the role is given up only once a pass finds the queue empty, so no
+/// queued unit is ever left without a thread to run it. noexcept: flush()
+/// turns backend failures into failed futures, and anything else escaping
+/// it would leave the role taken for good.
+void combine(ReplicaState& replica, std::size_t max_batch) noexcept {
+    std::unique_lock lock(replica.mutex);
+    while (!replica.queue.empty()) {
+        replica.batch.swap(replica.queue);  // the queue inherits batch's old capacity
+        lock.unlock();  // backend calls run without the queue lock
+        flush(replica, max_batch, replica.batch, replica.storage);
+        replica.batch.clear();  // destroy units (promises already fulfilled)
+        lock.lock();
+    }
+    replica.combining = false;
+    if (replica.stopping) replica.cv.notify_all();
+}
+
+/// Enqueues an admitted unit on `replica`. A submitter that finds no
+/// combiner active takes the role and runs the queue itself (its own unit
+/// included) before returning; otherwise the active combiner answers the
+/// unit. Per-replica counters are bumped only after the push succeeded,
+/// so a SessionClosed thrown here leaves them untouched.
 template <typename Promise>
 auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica, QueryKind kind,
              bool scalar, tensor::Matrix inputs, std::uint64_t cache_hash, bool cache_store,
@@ -521,7 +552,7 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
             session->power_ordinal.fetch_add(inputs.rows(), std::memory_order_relaxed);
         // Capture the (possibly suspicion-scaled, possibly escalated)
         // sigma now: the noise a submission gets reflects the session's
-        // standing when it was admitted, not when the flusher happens
+        // standing when it was admitted, not when the combiner happens
         // to deliver it.
         unit.power_sigma = escalated_power_sigma(*session, escalate);
     }
@@ -535,30 +566,26 @@ auto enqueue(const std::shared_ptr<SessionState>& session, ReplicaState& replica
     // opened a window where a unit already sitting in the queue counted
     // as zero load, steering the next submission to the busier replica.
     // One combined counter (decremented only after the rows are answered,
-    // in flush()) also keeps the queue→flusher migration coherent — the
+    // in flush()) also keeps the queue→combiner migration coherent — the
     // batch never transiently disappears from or double-counts in the
-    // load snapshot while the flusher drains the queue.
+    // load snapshot while the combiner drains the queue.
     replica.inflight_rows.fetch_add(rows, std::memory_order_relaxed);
-    bool wake = false;
+    bool combiner = false;
     {
         std::lock_guard lock(replica.mutex);
         if (replica.stopping) {
             replica.inflight_rows.fetch_sub(rows, std::memory_order_relaxed);
             throw SessionClosed("the service is shut down");
         }
-        // The flusher sleeps only on an empty queue, so only the
-        // empty → non-empty transition needs a wake. A unit queued behind
-        // a running backend call is picked up when that call returns;
-        // waking per submission would context-switch once per query.
-        wake = replica.queue.empty();
         replica.queue.push_back(std::move(unit));
+        combiner = !std::exchange(replica.combining, true);
     }
     if (kind == QueryKind::Power) {
         replica.power_count.fetch_add(rows, std::memory_order_relaxed);
     } else {
         replica.inference_count.fetch_add(rows, std::memory_order_relaxed);
     }
-    if (wake) replica.cv.notify_one();  // the flusher is the cv's only waiter
+    if (combiner) combine(replica, session->service->config.max_batch);
     return future;
 }
 
@@ -663,7 +690,7 @@ auto submit(const std::shared_ptr<SessionState>& session, QueryKind kind, bool s
         if (replica == nullptr) replica = &route(svc, s);
         auto future = enqueue<Promise>(session, *replica, kind, scalar, std::move(inputs),
                                        cache_hash, cacheable, escalate);
-        if (cacheable) svc.cache->count(false);  // miss: the flusher stores the clean answer
+        if (cacheable) svc.cache->count(false);  // miss: the combiner stores the clean answer
         return future;
     } catch (...) {
         taken.unwind();
@@ -696,7 +723,7 @@ const tensor::Matrix* gather_inputs(std::vector<Unit>& units, std::size_t first,
 }
 
 /// Stores a scalar miss's *clean* backend answer under the key computed
-/// at submit time. Runs on the flusher thread, before the promise is
+/// at submit time. Runs on the combiner thread, before the promise is
 /// fulfilled — once a future resolves, the entry is probeable.
 void store_in_cache(const Unit& u, const ReplicaState& replica, ResultCache::Value value) {
     const SessionState& s = *u.session;
@@ -856,26 +883,6 @@ void flush(ReplicaState& replica, std::size_t max_batch, std::vector<Unit>& unit
         }
         replica.inflight_rows.fetch_sub(rows, std::memory_order_relaxed);
         first = last;
-    }
-}
-
-/// Work-conserving coalescer (Nagle's rule, RFC 896): an idle flusher
-/// takes whatever is queued at once, and rows that arrive while a backend
-/// call runs form the next batch. Batches therefore grow only with load,
-/// and an idle replica adds no wait to a lone query.
-void flusher_loop(const std::shared_ptr<ServiceState>& svc, ReplicaState& replica) {
-    const std::size_t max_batch = svc->config.max_batch;
-    std::unique_lock lock(replica.mutex);
-    std::vector<Unit> batch;  ///< recycled: swaps capacity with the queue
-    tensor::Matrix storage;   ///< recycled gather scratch (per replica, never shared)
-    for (;;) {
-        replica.cv.wait(lock, [&] { return replica.stopping || !replica.queue.empty(); });
-        if (replica.queue.empty()) return;  // stopping, fully drained
-        batch.swap(replica.queue);  // the queue inherits batch's old capacity
-        lock.unlock();  // backend calls run without the queue lock
-        flush(replica, max_batch, batch, storage);
-        batch.clear();  // destroy units (promises already fulfilled)
-        lock.lock();
     }
 }
 
@@ -1074,7 +1081,7 @@ void Session::close() {
         // windows survive — that is the point of the attribution layer.
         state_->service->attrib->engine.note_session_close(state_->id);
     }
-    // In-flight submissions complete normally: the flushers never hold
+    // In-flight submissions complete normally: a combiner never holds
     // queued work back.
 }
 
@@ -1131,25 +1138,17 @@ OracleService::OracleService(const std::vector<Oracle*>& replicas, ServiceConfig
         replica->index = i;
         state_->replicas.push_back(std::move(replica));
     }
-    flushers_.reserve(replicas.size());
-    for (auto& replica : state_->replicas) {
-        flushers_.emplace_back(
-            [state = state_, r = replica.get()] { detail::flusher_loop(state, *r); });
-    }
 }
 
 OracleService::~OracleService() { shutdown(); }
 
 void OracleService::shutdown() {
+    // Once `stopping` is set no unit can join a queue, and an active
+    // combiner leaves only with its queue empty: waiting it out drains.
     for (auto& replica : state_->replicas) {
-        {
-            std::lock_guard lock(replica->mutex);
-            replica->stopping = true;
-        }
-        replica->cv.notify_all();
-    }
-    for (std::thread& flusher : flushers_) {
-        if (flusher.joinable()) flusher.join();
+        std::unique_lock lock(replica->mutex);
+        replica->stopping = true;
+        replica->cv.wait(lock, [&] { return !replica->combining; });
     }
 }
 

@@ -1,4 +1,4 @@
-// Backend wrappers for the serving-layer tests. A service flusher only
+// Backend wrappers for the serving-layer tests. A service combiner only
 // ever makes batched backend calls, so the wrappers hook exactly those
 // and pass scalar calls straight through.
 #pragma once
@@ -65,10 +65,12 @@ private:
 
 /// Makes coalescing deterministic instead of timing-based. After hold(),
 /// the next batched call blocks inside the backend until release(). A
-/// test that needs a merge submits one unit, waits until that unit is
-/// held, queues its burst, then releases: the service's flusher is busy
-/// for the whole burst, so the burst becomes exactly the next batch.
-/// Every batched call's row count is logged in call order.
+/// test that needs a merge submits one unit from a helper thread (that
+/// submitter finds the replica idle, becomes its combiner and runs the
+/// call, so the hold blocks it), waits until that unit is held, queues
+/// its burst, then releases: the combiner is busy for the whole burst,
+/// so the burst becomes exactly the next batch it runs. Every batched
+/// call's row count is logged in call order.
 class GatedOracle : public ForwardingOracle {
 public:
     using ForwardingOracle::ForwardingOracle;
@@ -123,7 +125,7 @@ private:
 
 /// Refuses (QueryRefused) every batched call that carries a row equal to
 /// `sentinel`, before it reaches `inner` — a backend that throws on some
-/// inputs, for the flusher's per-unit fallback.
+/// inputs, for the combiner's per-unit fallback.
 class RefusingOracle : public ForwardingOracle {
 public:
     RefusingOracle(Oracle& inner, tensor::Vector sentinel)

@@ -261,7 +261,8 @@ TEST(RateLimitedSession, CoalescedMatchesSerialBitIdentical) {
         Session session = service.open_session(limited);
         std::vector<std::future<double>> pending;
         gated.hold();
-        pending.push_back(session.submit_power(U.row(0)));
+        pending.push_back(std::async(std::launch::async,
+                                     [&] { return session.submit_power(U.row(0)).get(); }));
         ASSERT_TRUE(gated.wait_until_held());
         for (std::size_t r = 1; r < U.rows(); ++r) {
             pending.push_back(session.submit_power(U.row(r)));

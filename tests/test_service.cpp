@@ -6,6 +6,8 @@
 // submit time, and counter semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <numeric>
@@ -38,6 +40,11 @@ xbar::NonIdealityConfig noisy_device() {
     xbar::NonIdealityConfig c;
     c.read_noise_std = 0.05;
     return c;
+}
+
+template <typename T>
+bool is_ready(const std::future<T>& f) {
+    return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
 // ---- async submission -------------------------------------------------------
@@ -96,12 +103,14 @@ TEST(Service, CoalescedLabelsBitIdenticalToSerialOnNoisyHardware) {
     Session session = service.open_session();
     const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 64, net.inputs());
 
-    // Row 0 flushes alone and is held inside the backend; the other 63
-    // queue behind it and form the next batch.
+    // Row 0 flushes alone and is held inside the backend, blocking the
+    // helper thread that submitted it; the other 63 queue behind it and
+    // form the next batch.
     std::vector<std::future<int>> pending;
     pending.reserve(U.rows());
     gated.hold();
-    pending.push_back(session.submit_label(U.row(0)));
+    pending.push_back(
+        std::async(std::launch::async, [&] { return session.submit_label(U.row(0)).get(); }));
     ASSERT_TRUE(gated.wait_until_held());
     for (std::size_t r = 1; r < U.rows(); ++r) pending.push_back(session.submit_label(U.row(r)));
     gated.release();
@@ -127,7 +136,8 @@ TEST(Service, CoalescedRawAndPowerBitIdenticalToSerialOnNoisyHardware) {
     // held first raw, each kind's run merges into one batch.
     std::vector<std::future<tensor::Vector>> raws;
     gated.hold();
-    raws.push_back(session.submit_raw(U.row(0)));
+    raws.push_back(
+        std::async(std::launch::async, [&] { return session.submit_raw(U.row(0)).get(); }));
     ASSERT_TRUE(gated.wait_until_held());
     for (std::size_t r = 1; r < U.rows(); ++r) raws.push_back(session.submit_raw(U.row(r)));
     std::vector<std::future<double>> powers;
@@ -166,11 +176,11 @@ TEST(Service, InterleavedKindsPreserveSerialMeasurementOrder) {
     std::vector<std::future<double>> powers;
     std::vector<std::future<tensor::Vector>> raws;
     gated.hold();
+    labels.push_back(
+        std::async(std::launch::async, [&] { return session.submit_label(U.row(0)).get(); }));
+    ASSERT_TRUE(gated.wait_until_held());
     for (std::size_t r = 0; r < U.rows(); r += 3) {
-        labels.push_back(session.submit_label(U.row(r)));
-        if (r == 0) {
-            ASSERT_TRUE(gated.wait_until_held());
-        }
+        if (r > 0) labels.push_back(session.submit_label(U.row(r)));
         powers.push_back(session.submit_power(U.row(r + 1)));
         raws.push_back(session.submit_raw(U.row(r + 2)));
     }
@@ -572,20 +582,21 @@ TEST(Service, DestructionDrainsPendingSubmissions) {
     tensor::Matrix U = tensor::Matrix::random_uniform(rng, 12, net.inputs());
     std::future<int> first;
     std::future<std::vector<int>> pending;
+    Session session;  // outlives the service: its held submit returns during shutdown
     Session probe;
     std::vector<std::future<int>> probes;
     std::thread releaser;
     {
         OracleService service(backend);
-        Session session = service.open_session();
+        session = service.open_session();
         probe = service.open_session();
         backend.hold();
-        first = session.submit_label(u);
+        first = std::async(std::launch::async, [&] { return session.submit_label(u).get(); });
         ASSERT_TRUE(backend.wait_until_held());
         pending = session.submit_labels(U);  // queued behind the held call
         // Open the gate only once shutdown is visible (a submission is
         // refused), so U is still queued when the destructor stops the
-        // replica: the flusher must drain it before it returns.
+        // replica: the held combiner must drain it before shutdown returns.
         releaser = std::thread([&] {
             for (;;) {
                 try {
@@ -610,6 +621,96 @@ TEST(Service, DestructionDrainsPendingSubmissions) {
     EXPECT_EQ(std::accumulate(rows.begin() + 1, rows.end(), std::size_t{0}),
               12u + probes.size());
     EXPECT_EQ(inner.counters().inference, 13u + probes.size());
+}
+
+TEST(Service, HeldCombinerServesOtherSessionsInFifoOrder) {
+    // Session a's submitter finds the replica idle and becomes its
+    // combiner; session b's submissions find the role taken, so they only
+    // enqueue and return. After release the combiner runs b's units in
+    // arrival order (noisy hardware: the measurement counter makes the
+    // order observable) and has answered all of them before its own
+    // submit returns.
+    Rng rng(19);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle serial = make_oracle(net, {}, noisy_device());
+    CrossbarOracle backend = make_oracle(net, {}, noisy_device());
+    GatedOracle gated(backend);
+    OracleService service(gated);
+    Session a = service.open_session();
+    Session b = service.open_session();
+    const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 9, net.inputs());
+
+    gated.hold();
+    auto first = std::async(std::launch::async, [&] { return a.submit_label(U.row(0)).get(); });
+    ASSERT_TRUE(gated.wait_until_held());
+    std::vector<std::future<int>> labels;
+    std::vector<std::future<double>> powers;
+    for (std::size_t r = 1; r < 5; ++r) labels.push_back(b.submit_label(U.row(r)));
+    for (std::size_t r = 5; r < 9; ++r) powers.push_back(b.submit_power(U.row(r)));
+    for (auto& f : labels) EXPECT_FALSE(is_ready(f));
+    gated.release();
+
+    EXPECT_EQ(first.get(), serial.query_label(U.row(0)));
+    for (auto& f : labels) EXPECT_TRUE(is_ready(f));
+    for (auto& f : powers) EXPECT_TRUE(is_ready(f));
+    for (std::size_t r = 1; r < 5; ++r) {
+        EXPECT_EQ(labels[r - 1].get(), serial.query_label(U.row(r))) << "row " << r;
+    }
+    for (std::size_t r = 5; r < 9; ++r) {
+        EXPECT_DOUBLE_EQ(powers[r - 5].get(), serial.query_power(U.row(r))) << "row " << r;
+    }
+    EXPECT_EQ(gated.batch_rows(), (std::vector<std::size_t>{1, 4, 4}));
+}
+
+TEST(Service, ShutdownWaitsForHeldCombinerAndDrainsItsQueue) {
+    Rng rng(20);
+    const nn::SingleLayerNet net = make_net(rng);
+    CrossbarOracle inner = make_oracle(net);
+    GatedOracle backend(inner);
+    OracleService service(backend);
+    Session a = service.open_session();
+    Session b = service.open_session();
+    const tensor::Vector u(net.inputs(), 0.5);
+    const tensor::Matrix U = tensor::Matrix::random_uniform(rng, 6, net.inputs());
+
+    backend.hold();
+    auto first = std::async(std::launch::async, [&] { return a.submit_label(u).get(); });
+    ASSERT_TRUE(backend.wait_until_held());
+    auto queued_batch = b.submit_labels(U);
+    std::vector<std::future<int>> queued;
+    queued.push_back(b.submit_label(u));
+
+    std::atomic<bool> stopped{false};
+    std::thread stopper([&] {
+        service.shutdown();
+        stopped = true;
+    });
+    // Shutdown is visible once a submission is refused; until then each
+    // probe is accepted and queues behind the held call like the rest.
+    for (;;) {
+        try {
+            queued.push_back(b.submit_label(u));
+        } catch (const SessionClosed&) {
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The combiner is still held with a non-empty queue: shutdown waits.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(stopped.load());
+    backend.release();
+    stopper.join();
+    EXPECT_TRUE(stopped.load());
+
+    // Every queued future was answered before shutdown returned.
+    EXPECT_TRUE(is_ready(queued_batch));
+    for (auto& f : queued) EXPECT_TRUE(is_ready(f));
+    EXPECT_EQ(first.get(), inner.query_label(u));
+    EXPECT_EQ(queued_batch.get(), inner.query_labels(U));
+    for (auto& f : queued) EXPECT_EQ(f.get(), inner.query_label(u));
+    EXPECT_THROW(a.submit_label(u), SessionClosed);
+    EXPECT_THROW(b.submit_labels(U), SessionClosed);
+    service.shutdown();  // idempotent
 }
 
 TEST(Service, MoveAssignClosesDisplacedSessionAndRebindsOracleView) {
@@ -674,10 +775,9 @@ TEST(Service, ConfigValidationThrowsConfigErrorAtConstruction) {
 }
 
 TEST(Service, IdleReplicaFlushesImmediately) {
-    // The default service is work-conserving: an idle replica flushes a
-    // lone submission at once instead of waiting for partners (and the
-    // flusher must not spin hot while idle — the submissions below would
-    // hang or starve if it did).
+    // The default service is work-conserving: a lone submission on an
+    // idle replica runs at once, on the submitting thread, instead of
+    // waiting for partners — one backend call per query.
     Rng rng(17);
     const nn::SingleLayerNet net = make_net(rng);
     CrossbarOracle backend = make_oracle(net);

@@ -129,7 +129,7 @@ TEST(SessionIsolation, SharedBlockingDefenseFailsOnlyTheOffendingSubmission) {
     Session b = service.open_session();
 
     gated.hold();
-    auto first = a.submit_label(clean);
+    auto first = std::async(std::launch::async, [&] { return a.submit_label(clean).get(); });
     ASSERT_TRUE(gated.wait_until_held());
     auto before = a.submit_label(clean);
     auto refused = b.submit_label(attack);

@@ -54,6 +54,36 @@ ServiceConfig routed(RoutingPolicy routing) {
     return c;
 }
 
+/// Parks a backlog on replica 1 of a two-replica least-loaded fleet
+/// whose replica 0 is gated by `fast`; returns the futures of all `rows`
+/// submissions. A submitter that finds its replica idle runs the backend
+/// call itself, so a lone thread would only ever meet idle replicas and
+/// land every row on replica 0. Instead, replica 0's first call is held
+/// on a helper thread; the next submission sees that row in flight and
+/// lands on the idle replica 1, whose helper thread then sleeps in the
+/// slowed backend, and the burst behind them alternates between the two
+/// queues. Releasing the gate drains replica 0 while replica 1 sleeps.
+std::vector<std::future<int>> park_backlog(OracleService& service, Session& session,
+                                           GatedOracle& fast, const tensor::Vector& u,
+                                           std::size_t rows) {
+    const auto submit_on_helper = [&] {
+        return std::async(std::launch::async, [&] { return session.submit_label(u).get(); });
+    };
+    std::vector<std::future<int>> pending;
+    pending.reserve(rows);
+    fast.hold();
+    pending.push_back(submit_on_helper());
+    if (!fast.wait_until_held()) {
+        ADD_FAILURE() << "the fast replica's first call was never held";
+        return pending;
+    }
+    pending.push_back(submit_on_helper());
+    while (service.queue_depth(1) == 0) std::this_thread::yield();
+    while (pending.size() < rows) pending.push_back(session.submit_label(u));
+    fast.release();
+    return pending;
+}
+
 // ---- construction & validation ----------------------------------------------
 
 TEST(ServiceReplicas, SingleEntryFleetMatchesSingleBackendService) {
@@ -167,12 +197,14 @@ TEST(ServiceReplicas, CoalescedStreamsBitIdenticalToSerialPerReplica) {
         CrossbarOracle* reference;
     } lanes[] = {{&s0, &gated0, &reference0}, {&s1, &gated1, &reference1}};
     for (const auto& lane : lanes) {
-        // Pipelined scalar submissions queued behind a held first label:
-        // the replica's flusher coalesces each same-kind run into one
+        // Pipelined scalar submissions queued behind a held first label
+        // (submitted from a helper thread, which the hold blocks): the
+        // replica's combiner coalesces each same-kind run into one
         // batched backend call.
         std::vector<std::future<int>> labels;
         lane.gate->hold();
-        labels.push_back(lane.session->submit_label(U.row(0)));
+        labels.push_back(std::async(std::launch::async,
+                                    [&] { return lane.session->submit_label(U.row(0)).get(); }));
         ASSERT_TRUE(lane.gate->wait_until_held());
         for (std::size_t r = 1; r < U.rows(); ++r) {
             labels.push_back(lane.session->submit_label(U.row(r)));
@@ -263,21 +295,21 @@ TEST(ServiceReplicas, RoundRobinSpreadsRowsFairly) {
 TEST(ServiceReplicas, LeastLoadedAvoidsSlowedReplica) {
     Rng rng(7);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle fast = make_oracle(net);
+    CrossbarOracle fast_inner = make_oracle(net);
+    GatedOracle fast(fast_inner);
     CrossbarOracle slow_inner = make_oracle(net);
     SlowOracle slow(slow_inner, std::chrono::milliseconds(20));
     OracleService service(std::vector<Oracle*>{&fast, &slow}, routed(RoutingPolicy::LeastLoaded));
     Session session = service.open_session();
 
-    // Phase 1: a rapid burst with both replicas idle. Routing sees only
-    // enqueued-not-yet-answered rows, so the burst spreads over both
-    // replicas — and parks rows on the slowed replica, which sleeps
-    // inside its flush while the fast replica drains in microseconds.
+    // Phase 1: a burst that spreads over both replicas. Routing sees only
+    // enqueued-not-yet-answered rows, so it parks rows on the slowed
+    // replica, which sleeps inside its backend call while the fast
+    // replica drains in microseconds.
     constexpr std::size_t kBurst = 32;
     const tensor::Vector u(net.inputs(), 0.5);
-    std::vector<std::future<int>> pending;
+    std::vector<std::future<int>> pending = park_backlog(service, session, fast, u, kBurst);
     pending.reserve(2 * kBurst);
-    for (std::size_t q = 0; q < kBurst; ++q) pending.push_back(session.submit_label(u));
 
     // Wait for the imbalance to become visible: fast replica empty, slow
     // replica still holding unanswered rows (it sleeps 20 ms per flush).
@@ -311,18 +343,19 @@ TEST(ServiceReplicas, LeastLoadedAvoidsSlowedReplica) {
 TEST(ServiceReplicas, LeastLoadedSteeringHoldsUnderConcurrentFlushes) {
     // The load-snapshot satellite: inflight_rows is charged *before* the
     // queue push and released only after the rows are answered, so a
-    // batch migrating queue→flusher mid-snapshot is never double- or
+    // batch migrating queue→combiner mid-snapshot is never double- or
     // zero-counted. Under concurrent submitters racing against active
     // flushes, a zero-count window would let bursts pile onto the
     // backed-up slow replica; steering toward the fast replica must
     // survive the races.
     Rng rng(77);
     const nn::SingleLayerNet net = make_net(rng);
-    CrossbarOracle fast = make_oracle(net);
+    CrossbarOracle fast_inner = make_oracle(net);
+    GatedOracle fast(fast_inner);
     CrossbarOracle slow_inner = make_oracle(net);
     SlowOracle slow(slow_inner, std::chrono::milliseconds(10));
     ServiceConfig config = routed(RoutingPolicy::LeastLoaded);
-    config.max_batch = 8;  // small batches: many queue→flusher migrations
+    config.max_batch = 8;  // small batches: many queue→combiner migrations
     OracleService service(std::vector<Oracle*>{&fast, &slow}, config);
 
     // Park a backlog on the slow replica first (same two-phase setup as
@@ -330,8 +363,7 @@ TEST(ServiceReplicas, LeastLoadedSteeringHoldsUnderConcurrentFlushes) {
     // unanswered rows).
     Session primer = service.open_session();
     const tensor::Vector u(net.inputs(), 0.5);
-    std::vector<std::future<int>> parked;
-    for (std::size_t q = 0; q < 32; ++q) parked.push_back(primer.submit_label(u));
+    std::vector<std::future<int>> parked = park_backlog(service, primer, fast, u, 32);
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     bool imbalanced = false;
     while (std::chrono::steady_clock::now() < deadline) {
@@ -346,7 +378,7 @@ TEST(ServiceReplicas, LeastLoadedSteeringHoldsUnderConcurrentFlushes) {
         GTEST_SKIP() << "scheduler never exposed the slowed replica's backlog";
     }
 
-    // Four submitters race while both flushers churn through small
+    // Four submitters race while both combiners churn through small
     // batches — every submission sees a load snapshot taken mid-flush
     // somewhere. Conservation first: every accepted row lands exactly
     // once. Steering second: the fast replica must take the clear
@@ -402,7 +434,9 @@ TEST(ServiceReplicas, SessionAffinityStaysOnHomeReplicaAcrossFlushes) {
     EXPECT_EQ(service.replica_counters(second.home_replica()).inference, 48u);
     EXPECT_GE(service.flushed_batches(second.home_replica()), 3u);
     for (std::size_t k = 0; k < service.replica_count(); ++k) {
-        if (k != second.home_replica()) EXPECT_EQ(service.replica_counters(k).total(), 0u);
+        if (k != second.home_replica()) {
+            EXPECT_EQ(service.replica_counters(k).total(), 0u);
+        }
     }
 }
 
